@@ -191,43 +191,14 @@ def nhssh_permutation(params):
     """Site permutation splitting the w-basis ladder into the two chains.
 
     Returns an index array perm of length 2L such that
-    (U H U+)[perm][:, perm] equals build_nhssh(params)[0] (+) [1].
-    Constructed by walking the nonzero coupling pattern of the OBC w-basis
-    matrix from the wbar endpoint of the last cell (chain one) and the w
-    endpoint (chain two); the permutation is boundary independent.
+    (U H U+)[perm][:, perm] equals build_nhssh(params)[0] (+) [1]. Each
+    chain runs from the last cell to the first, alternating w and wbar:
+    chain one starts at wbar_L, chain two at w_L (w_j has index 2(j-1),
+    wbar_j index 2(j-1) + 1). The permutation is boundary independent.
     """
     require_balanced(params)
     if params.L % 2:
         raise ValueError("NH-SSH decomposition needs even L")
-    L = params.L
-    obc = params if params.boundary == OBC else ModelParams(
-        t0=params.t0, t1=params.t1, t2=params.t2,
-        g0=params.g0, g1=params.g1, g2=params.g2, L=L, boundary=OBC)
-    U = w_basis(L)
-    Hw = U @ build_realspace(obc) @ U.conj().T
-    scale = np.abs(Hw).max()
-    adj = np.abs(Hw) + np.abs(Hw).T > 1e-12 * max(scale, 1.0)
-    np.fill_diagonal(adj, False)
-    perm = []
-    for start in (2 * (L - 1) + 1, 2 * (L - 1)):  # wbar_L, then w_L
-        chain = [start]
-        seen = {start}
-        while True:
-            nbrs = [n for n in np.nonzero(adj[chain[-1]])[0] if n not in seen]
-            if not nbrs:
-                break
-            if len(nbrs) > 1:
-                raise RuntimeError("w-basis coupling pattern is not a path")
-            chain.append(nbrs[0])
-            seen.add(nbrs[0])
-        if len(chain) != L:
-            # a bond type vanished identically (degenerate point); fall back
-            # to the ordering the walk produces at generic parameters
-            chain = []
-            wbar_first = start % 2 == 1
-            for p in range(1, L + 1):
-                cell = L - p  # 0-based
-                is_wbar = (p % 2 == 1) == wbar_first
-                chain.append(2 * cell + (1 if is_wbar else 0))
-        perm.extend(chain)
-    return np.array(perm, dtype=int)
+    cell = np.arange(params.L - 1, -1, -1)
+    odd = cell % 2 == 1  # L even: chain position L - cell is odd
+    return np.concatenate([2 * cell + odd, 2 * cell + ~odd])

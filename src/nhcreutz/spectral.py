@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
-from .model import (OBC, build_nhssh, build_realspace, derive,
+from .model import (OBC, ModelParams, build_nhssh, build_realspace, derive,
                     nhssh_permutation, require_balanced, w_basis)
 
 REAL = "Real"
@@ -43,18 +43,26 @@ class SpectralClass:
 def pbc_dispersion(params, k):
     """Closed-form PBC band pair (E_plus, E_minus) at momentum k.
 
-    Accepts a scalar or an array of momenta.
+    Accepts a scalar or an array of momenta, and one ModelParams or a
+    sequence of them; a sequence adds a leading node axis to the output.
     """
-    d = derive(params)
-    t0, g0 = params.t0, params.g0
     ka = np.asarray(k, dtype=float)
+    if isinstance(params, ModelParams):
+        d = derive(params)
+        t0, g0, tbar, gbar, dt, dg = (params.t0, params.g0, d.tbar, d.gbar,
+                                      d.dt, d.dg)
+    else:
+        cols = [(p.t0, p.g0, d.tbar, d.gbar, d.dt, d.dg)
+                for p, d in ((p, derive(p)) for p in params)]
+        t0, g0, tbar, gbar, dt, dg = \
+            np.array(cols).T.reshape((6, -1) + (1,) * ka.ndim)
     sk, ck = np.sin(ka), np.cos(ka)
-    shift = 2.0 * (d.dt * sk - 1j * d.dg * ck)
-    rad = ((t0 * t0 - d.gbar * d.gbar) * ck * ck
-           + (d.tbar * d.tbar - g0 * g0) * sk * sk
-           + 1j * (t0 * g0 - d.tbar * d.gbar) * np.sin(2.0 * ka)).astype(complex)
+    shift = 2.0 * (dt * sk - 1j * dg * ck)
+    rad = ((t0 * t0 - gbar * gbar) * ck * ck
+           + (tbar * tbar - g0 * g0) * sk * sk
+           + 1j * (t0 * g0 - tbar * gbar) * np.sin(2.0 * ka)).astype(complex)
     root = 2.0 * np.sqrt(rad)
-    if ka.ndim == 0:
+    if np.ndim(root) == 0:
         return complex(shift + root), complex(shift - root)
     return shift + root, shift - root
 
@@ -93,29 +101,40 @@ def eig(H, want_vectors=False):
 
 
 def spectral_density_M(eigs, tol_abs=0.0):
-    """Mean of |cos(arg E)| - |sin(arg E)|; |E| <= tol_abs counts as real."""
+    """Mean of |cos(arg E)| - |sin(arg E)|; |E| <= tol_abs counts as real.
+
+    The mean runs along the last axis: a stack of spectra gives an array
+    of M, with tol_abs a scalar or one value per spectrum.
+    """
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.size == 0:
         raise EmptySpectrum("spectral density of an empty spectrum")
     theta = np.angle(eigs)
-    theta[np.abs(eigs) <= tol_abs] = 0.0
-    return float(np.mean(np.abs(np.cos(theta)) - np.abs(np.sin(theta))))
+    theta[np.abs(eigs) <= np.asarray(tol_abs)[..., None]] = 0.0
+    M = np.mean(np.abs(np.cos(theta)) - np.abs(np.sin(theta)), axis=-1)
+    return float(M) if M.ndim == 0 else M
 
 
 def classify(eigs, tol_rel=1e-9, tol_abs=0.0):
-    """Label a spectrum Real / Imaginary / Complex / Collapsed, with M."""
+    """Label a spectrum Real / Imaginary / Complex / Collapsed, with M.
+
+    A stack of spectra (last axis) gives arrays of labels and M, with
+    tol_abs a scalar or one value per spectrum.
+    """
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.size == 0:
         raise EmptySpectrum("classification of an empty spectrum")
     M = spectral_density_M(eigs, tol_abs)
-    emax = float(np.abs(eigs).max())
-    if emax <= tol_abs:
-        return SpectralClass(COLLAPSED, M)
-    if np.all(np.abs(eigs.imag) <= tol_rel * emax):
-        return SpectralClass(REAL, M)
-    if np.all(np.abs(eigs.real) <= tol_rel * emax):
-        return SpectralClass(IMAGINARY, M)
-    return SpectralClass(COMPLEX, M)
+    emax = np.abs(eigs).max(axis=-1)
+    bound = (tol_rel * emax)[..., None]
+    label = np.where(
+        emax <= tol_abs, COLLAPSED,
+        np.where(np.all(np.abs(eigs.imag) <= bound, axis=-1), REAL,
+                 np.where(np.all(np.abs(eigs.real) <= bound, axis=-1),
+                          IMAGINARY, COMPLEX)))
+    if label.ndim == 0:
+        return SpectralClass(str(label), M)
+    return SpectralClass(label, M)
 
 
 def _chain_offdiag_squares(d, L):
@@ -126,22 +145,46 @@ def _chain_offdiag_squares(d, L):
     """
     u2 = d.g * d.g - d.f * d.f
     v2 = d.gp * d.gp - d.fp * d.fp
-    c1 = np.array([v2 if m % 2 == 0 else u2 for m in range(L - 1)])
-    c2 = np.array([u2 if m % 2 == 0 else v2 for m in range(L - 1)])
-    return c1, c2
+    return np.resize([v2, u2], L - 1), np.resize([u2, v2], L - 1)
 
 
 def _tridiag_spectrum_from_squares(sq):
     """Eigenvalues of the zero-diagonal tridiagonal with off-diagonal
-    products sq (spectra depend only on those products)."""
+    products sq (spectra depend only on those products).
+
+    Same-sign products give a real or imaginary symmetric tridiagonal.
+    Mixed signs need the chain shape: even order L and palindromic sq. In
+    symmetric form the chain is then centrosymmetric, and the basis
+    (e_j +- e_{L+1-j})/sqrt(2) splits it exactly into the two L/2 x L/2
+    halves A +- c e_m e_m^T, c^2 the middle product (Cantoni & Butler,
+    Lin. Alg. Appl. 13, 275 (1976)). A negative middle product is split
+    on iT (products -sq) instead, so c stays real. A diagonal similarity
+    makes each half real (superdiagonal sqrt|p|, subdiagonal
+    sign(p) sqrt|p|), and one real solve of the (2, L/2, L/2) stack
+    replaces a complex L x L one.
+    """
     L = len(sq) + 1
     if np.all(sq >= 0.0):
         return sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(sq)).astype(complex)
     if np.all(sq <= 0.0):
         return 1j * sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(-sq))
-    offd = np.sqrt(sq.astype(complex))
-    T = np.diag(offd, 1) + np.diag(offd, -1)
-    return np.linalg.eigvals(T)
+    if L % 2 or not np.array_equal(sq, sq[::-1]):
+        raise ValueError("mixed-sign products must be palindromic, even order")
+    m = L // 2
+    rotate = sq[m - 1] < 0.0
+    p = -sq[:m] if rotate else sq[:m]
+    s = np.sqrt(np.abs(p[:-1]))
+    j = np.arange(m - 1)
+    halves = np.zeros((2, m, m))
+    halves[:, j, j + 1] = s
+    halves[:, j + 1, j] = np.sign(p[:-1]) * s
+    halves[0, -1, -1] = math.sqrt(p[-1])
+    halves[1, -1, -1] = -math.sqrt(p[-1])
+    try:
+        E = np.linalg.eigvals(halves).ravel().astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    return -1j * E if rotate else E
 
 
 def obc_spectrum_via_chains(params):
@@ -150,7 +193,8 @@ def obc_spectrum_via_chains(params):
     Returns (eigs_chain1, eigs_chain2), each length L. Equivalent to the
     gauge transformation in product form: a tridiagonal spectrum depends only
     on the products of opposite off-diagonal pairs, so each chain reduces to
-    a symmetric tridiagonal problem that stays well conditioned at system
+    a symmetric tridiagonal problem (same-sign products) or to two real
+    half-size problems (mixed signs) that stay well conditioned at system
     sizes where direct diagonalization of skin-effect matrices fails. Open
     boundary by construction regardless of params.boundary. Balanced only.
     """

@@ -113,36 +113,66 @@ def _status_flag(label):
 def phase_diagram(spec, threads=1):
     """Spectral-density measure M and spectrum class on the grid; PBC from
     the closed-form dispersion on k_m = 2 pi m / L, OBC from the reduced
-    chain pair."""
+    chain pair.
 
-    def worker(t0, gbar):
-        params = _node_params(spec, t0, gbar, PBC)
-        k = 2.0 * np.pi * np.arange(spec.L) / spec.L
-        ep, em = pbc_dispersion(params, k)
-        pbc_eigs = np.concatenate([ep, em])
-        tol_abs = 1e-9 * float(np.abs(pbc_eigs).max())
-        cls_pbc = classify(pbc_eigs, tol_abs=tol_abs)
-        c1, c2 = obc_spectrum_via_chains(replace(params, boundary=OBC))
-        obc_eigs = np.concatenate([c1, c2])
-        tol_abs = 1e-9 * float(np.abs(obc_eigs).max())
-        cls_obc = classify(obc_eigs, tol_abs=tol_abs)
-        label = classify_point(params).label
-        return GridRow(t0=t0, gbar=gbar, M_pbc=cls_pbc.M, M_obc=cls_obc.M,
-                       class_obc=cls_obc.label, degeneracy_label=label)
+    One grid row (fixed gbar) at a time: the dispersion, M and the class
+    labels are computed for the whole row at once, the chain spectra and
+    the degeneracy label node by node, so a failure stays at its node.
+    threads is accepted for a uniform sweep interface and changes nothing.
+    """
+    t0_vals, gbar_vals = grid_axes(spec)
+    k = 2.0 * np.pi * np.arange(spec.L) / spec.L
+    out = []
+    for gbar in gbar_vals:
+        nodes = [_node_params(spec, t0, gbar, PBC) for t0 in t0_vals]
+        ep, em = pbc_dispersion(nodes, k)
+        pbc_eigs = np.concatenate([ep, em], axis=-1)
+        cls_pbc = classify(pbc_eigs,
+                           tol_abs=1e-9 * np.abs(pbc_eigs).max(axis=-1))
+        obc_eigs = np.zeros((len(nodes), 2 * spec.L), dtype=complex)
+        labels, failed = [], {}
+        for i, params in enumerate(nodes):
+            try:
+                obc_eigs[i] = np.concatenate(
+                    obc_spectrum_via_chains(replace(params, boundary=OBC)))
+                labels.append(classify_point(params).label)
+            except Exception as exc:  # row-level marker, never abort the grid
+                failed[i] = type(exc).__name__
+                labels.append(None)
+        cls_obc = classify(obc_eigs,
+                           tol_abs=1e-9 * np.abs(obc_eigs).max(axis=-1))
+        for i, t0 in enumerate(t0_vals):
+            if i in failed:
+                out.append(GridRow(t0=t0, gbar=gbar, status=failed[i]))
+                continue
+            out.append(GridRow(t0=t0, gbar=gbar, M_pbc=float(cls_pbc.M[i]),
+                               M_obc=float(cls_obc.M[i]),
+                               class_obc=str(cls_obc.label[i]),
+                               degeneracy_label=labels[i]))
+    return out
 
-    return _run_grid(spec, worker, threads)
+
+def _diagonalizable(params, label):
+    """True at Generic nodes where u^2 v^2 > 0: each chain is then similar
+    to an unreduced real or imaginary symmetric tridiagonal, whose
+    eigenvalues are distinct, so no numerical test is needed."""
+    d = derive(params)
+    return label == GENERIC and \
+        (d.g * d.g - d.f * d.f) * (d.gp * d.gp - d.fp * d.fp) > 0.0
 
 
 def dipr_map(spec, threads=1):
     """Eigenstate-averaged half-chain IPR difference on the grid (dense
-    OBC eigenvectors) plus a numerical defectiveness flag."""
+    OBC eigenvectors) plus a defectiveness flag: False where the chain
+    structure proves the node diagonalizable, numerical elsewhere."""
 
     def worker(t0, gbar):
         params = _node_params(spec, t0, gbar, OBC)
         res = eig(build_realspace(params), want_vectors=True)
         md = mean_dipr(res, spec.L)
-        dfc = _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
         label = classify_point(params).label
+        dfc = False if _diagonalizable(params, label) else \
+            _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
         return GridRow(t0=t0, gbar=gbar, mean_dipr=md, defective=dfc,
                        degeneracy_label=label, status=_status_flag(label))
 

@@ -28,6 +28,8 @@ from nhcreutz import (
     pbc_dispersion,
     spectral_density_M,
 )
+from nhcreutz.spectral import (_chain_offdiag_squares,
+                               _tridiag_spectrum_from_squares)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -133,6 +135,80 @@ class TestChainSpectrum:
     def test_odd_L_rejected(self):
         with pytest.raises(ValueError):
             obc_spectrum_via_chains(params(L=7))
+
+
+def dense_chain_spectrum(sq):
+    """Complex symmetric L x L chain with off-diagonal sqrt(sq), dense."""
+    off = np.sqrt(np.asarray(sq, dtype=complex))
+    return np.linalg.eigvals(np.diag(off, 1) + np.diag(off, -1))
+
+
+def charpoly_chain_spectrum(sq, dps=60):
+    """Chain eigenvalues to dps digits from the characteristic polynomial.
+
+    With P_k = det(E - T_k), P_k = E P_{k-1} - sq[k-2] P_{k-2}. For even k
+    P_k = Q_k(mu) and for odd k P_k = E R_k(mu), mu = E^2, so
+    Q_k = mu R_{k-1} - p Q_{k-2} and R_k = Q_{k-1} - p R_{k-2}; the roots
+    of Q_L in mu give E = +-sqrt(mu). Coefficients are lowest order first.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        def axpy(a, b, s):  # a - s b
+            n = max(len(a), len(b))
+            a = a + [mpmath.mpf(0)] * (n - len(a))
+            b = b + [mpmath.mpf(0)] * (n - len(b))
+            return [x - s * y for x, y in zip(a, b)]
+
+        Q = {0: [mpmath.mpf(1)]}
+        R = {-1: [mpmath.mpf(0)], 1: [mpmath.mpf(1)]}
+        for k in range(2, len(sq) + 2):
+            p = mpmath.mpf(float(sq[k - 2]))
+            if k % 2 == 0:
+                Q[k] = axpy([mpmath.mpf(0)] + R[k - 1], Q[k - 2], p)
+            else:
+                R[k] = axpy(Q[k - 1], R[k - 2], p)
+        mus = mpmath.polyroots(Q[len(sq) + 1][::-1], maxsteps=200,
+                               extraprec=200)
+        return np.array([complex(s * mpmath.sqrt(mu))
+                         for mu in mus for s in (1, -1)])
+
+
+class TestChainSplit:
+    def test_matches_dense_on_random_mixed_sign_products(self):
+        rng = np.random.default_rng(11)
+        for L in range(2, 51, 2):
+            for _ in range(5):
+                half = rng.uniform(0.05, 3.0, L // 2) \
+                    * rng.choice([-1.0, 1.0], L // 2)
+                if L >= 4:  # L = 2 has one product, so one sign
+                    half[:2] = np.abs(half[:2]) * [1.0, -1.0]
+                sq = np.concatenate([half, half[-2::-1]])
+                E = _tridiag_spectrum_from_squares(sq)
+                dense = dense_chain_spectrum(sq)
+                assert E.shape == (L,)
+                assert multiset_dist(E, dense) \
+                    <= 1e-12 * np.abs(dense).max()
+
+    def test_matches_60_digit_reference(self):
+        # a Complex node of the L = 50 phase map where the dense complex
+        # solve misses M_obc by 2e-10
+        p = params(t0=-0.4831333333333334, gbar=-1.753, g0=-0.901, L=50)
+        c1, c2 = _chain_offdiag_squares(derive(p), p.L)
+        ref = np.concatenate([charpoly_chain_spectrum(c1),
+                              charpoly_chain_spectrum(c2)])
+        E = np.concatenate(obc_spectrum_via_chains(p))
+        emax = np.abs(ref).max()
+        assert multiset_dist(E, ref) <= 1e-13 * emax
+
+        def M(eigs):
+            return classify(eigs, tol_abs=1e-9 * np.abs(eigs).max()).M
+        assert abs(M(E) - M(ref)) <= 1e-14
+
+    def test_mixed_sign_needs_chain_shape(self):
+        with pytest.raises(ValueError):
+            _tridiag_spectrum_from_squares(np.array([1.0, -1.0, 2.0]))
+        with pytest.raises(ValueError):
+            _tridiag_spectrum_from_squares(np.array([1.0, -1.0]))
 
 
 class TestChainEig:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import nhcreutz.sweep as sweep
+from nhcreutz.degeneracy import GENERIC
 from nhcreutz import (
     OBC,
     PBC,
+    ConvergenceFailure,
+    GridRow,
     GridSpec,
     ModelParams,
     build_realspace,
@@ -93,6 +97,23 @@ class TestPhaseDiagram:
         four = phase_diagram(s, threads=4)
         assert one == four
 
+    def test_node_failure_stays_at_node(self, monkeypatch):
+        s = spec(n=4, L=10)
+        clean = phase_diagram(s)
+        bad = clean[6]
+        solve = sweep.obc_spectrum_via_chains
+
+        def failing(params):
+            if (params.t0, params.g1) == (bad.t0, bad.gbar):
+                raise ConvergenceFailure("injected")
+            return solve(params)
+
+        monkeypatch.setattr(sweep, "obc_spectrum_via_chains", failing)
+        rows = phase_diagram(s)
+        assert rows[6] == GridRow(t0=bad.t0, gbar=bad.gbar,
+                                  status="ConvergenceFailure")
+        assert rows[:6] + rows[7:] == clean[:6] + clean[7:]
+
     def test_degeneracy_column_on_diagonal(self):
         # diagonal t0 = gbar with g0 = tbar = 1: EFB nodes; the phase map
         # reports them in its own degeneracy column, status stays ok
@@ -130,6 +151,23 @@ class TestDiprMap:
     def test_thread_determinism(self):
         s = spec(n=3, L=10)
         assert dipr_map(s, threads=1) == dipr_map(s, threads=3)
+
+    def test_same_sign_generic_nodes_not_defective(self):
+        # at (t0, gbar) = (0.3, -2.0), g0 = 0.3: u^2 = -1.2, v^2 = -4.8, and
+        # one chain's edge pair (E = +-4.9e-8 i) is split far below the
+        # numerical test's clustering radius; the chains are similar to
+        # unreduced imaginary symmetric tridiagonals, so diagonalizable
+        s = GridSpec(t0_range=(0.3, 0.6, 2), gbar_range=(-2.0, -1.9, 2),
+                     g0=0.3, L=50)
+        rows = dipr_map(s)
+        same_sign = []
+        for r in rows:
+            u2 = (1.0 + r.t0) ** 2 - (r.gbar + 0.3) ** 2
+            v2 = (1.0 - r.t0) ** 2 - (r.gbar - 0.3) ** 2
+            if r.degeneracy_label == GENERIC and u2 * v2 > 0.0:
+                same_sign.append((r.t0, r.gbar))
+                assert r.defective is False
+        assert (0.3, -2.0) in same_sign
 
 
 class TestMiprMap:
