@@ -44,6 +44,29 @@ def initial_state(L, cell=None, weights=(1.0, 0.0)):
     return psi
 
 
+def _mipr_rows(units, L):
+    """Displacement IPR of each row of units (..., 2L); the row kernel
+    behind mipr, the trace series and the mipr map."""
+    p2 = np.abs(units) ** 2
+    norm2 = p2.sum(axis=-1)
+    if not norm2.all():
+        raise ZeroState("cannot normalize the zero state")
+    p4 = (p2 / norm2[..., None]) ** 2
+    w = (L / 2.0 - np.arange(1, L + 1)) / (L / 2.0)
+    # vecdot reduces each row as np.dot does, bit for bit
+    return np.vecdot(p4[..., 0::2] + p4[..., 1::2], w)
+
+
+def _support_rows(units, fraction=1e-6):
+    """Cell-support count of each row of units (..., 2L)."""
+    p2 = np.abs(units) ** 2
+    cells = p2[..., 0::2] + p2[..., 1::2]
+    peak = cells.max(axis=-1, initial=0.0)
+    if not peak.all():
+        raise ZeroState("state has no weight")
+    return (cells > fraction * peak[..., None]).sum(axis=-1)
+
+
 def mipr(state, L):
     """Displacement-weighted IPR: sum_j w_j (|a_j|^4 + |b_j|^4) with
     w_j = (L/2 - j)/(L/2), j = 1..L. Positive values mean weight piled
@@ -53,13 +76,7 @@ def mipr(state, L):
     psi = np.asarray(state, dtype=complex).ravel()
     if psi.size != 2 * L:
         raise ValueError(f"expected 2L = {2 * L} sites, got {psi.size}")
-    p2 = np.abs(psi) ** 2
-    norm2 = float(p2.sum())
-    if norm2 == 0.0:
-        raise ZeroState("cannot normalize the zero state")
-    p4 = (p2 / norm2) ** 2
-    w = (L / 2.0 - np.arange(1, L + 1)) / (L / 2.0)
-    return float(np.dot(w, p4[0::2] + p4[1::2]))
+    return float(_mipr_rows(psi, L))
 
 
 def compacton_support(state, fraction=1e-6):
@@ -68,40 +85,93 @@ def compacton_support(state, fraction=1e-6):
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     psi = np.asarray(state, dtype=complex).ravel()
-    p2 = np.abs(psi) ** 2
-    cells = p2[0::2] + p2[1::2]
-    peak = float(cells.max()) if cells.size else 0.0
-    if peak == 0.0:
-        raise ZeroState("state has no weight")
-    return int(np.sum(cells > fraction * peak))
+    return int(_support_rows(psi, fraction))
 
 
 def _trace_arrays(times, units, lognorms, L):
     norms = np.exp(np.asarray(lognorms))
-    states = np.asarray(units).T * norms[None, :]
-    mipr_series = np.array([mipr(u, L) for u in units])
-    support_series = np.array([compacton_support(u) for u in units])
-    return WavepacketTrace(times, states, norms, mipr_series, support_series)
+    units = np.asarray(units)
+    states = units.T * norms[None, :]
+    return WavepacketTrace(times, states, norms, _mipr_rows(units, L),
+                           _support_rows(units))
+
+
+def _step_stack(U, psi0, times):
+    """Evolve a stack of unit states psi0 (B, 2L) with their one-step
+    propagators U (B, 2L, 2L) over the uniform grid times, one stacked
+    product per step.
+
+    Yields (live, units, lognorms, failed) after each step: the stack
+    indices still running, their unit states and accumulated log norms,
+    and {index: exception} for the rows that dropped out at this step (a
+    vanishing norm raises math.log's ValueError, a norm past 1e300
+    Overflow). Stops early once every row has dropped out.
+    """
+    live = np.arange(len(psi0))
+    lognorms = [0.0] * len(psi0)
+    phi = psi0
+    for k in range(1, len(times)):
+        # one mat-vec product per row, equal to U[i] @ phi[i] bit for bit
+        phi = (U @ phi[:, :, None])[:, :, 0]
+        # equals np.linalg.norm of each row bit for bit
+        g = np.sqrt(np.vecdot(phi.real, phi.real)
+                    + np.vecdot(phi.imag, phi.imag))
+        failed = {}
+        for i, gi in enumerate(g.tolist()):
+            try:
+                lognorms[i] += math.log(gi)
+            except ValueError as exc:  # the norm vanished
+                failed[i] = exc
+                continue
+            if lognorms[i] > _LOG_NORM_MAX:
+                failed[i] = Overflow(
+                    f"state norm exceeded 1e300 at t = {times[k]:.6g}",
+                    time=float(times[k]))
+        if failed:
+            keep = [i for i in range(len(live)) if i not in failed]
+            failed = {int(live[i]): exc for i, exc in failed.items()}
+            live, U, phi, g = live[keep], U[keep], phi[keep], g[keep]
+            lognorms = [lognorms[i] for i in keep]
+        phi = phi / g[:, None]
+        yield live, phi, tuple(lognorms), failed
+        if not len(live):
+            return
+
+
+def _step_propagator(H, times):
+    """exp(-i dt H) for the spacing dt of the uniform grid times."""
+    dt = times[1] - times[0]
+    return scipy.linalg.expm(-1j * dt * H)
 
 
 def _propagate_expm(H, psi0, times, L):
-    dt = times[1] - times[0]
-    U = scipy.linalg.expm(-1j * dt * H)
+    U = _step_propagator(H, times)
     units = [psi0]
     lognorms = [0.0]
-    phi = psi0
-    for k in range(1, len(times)):
-        phi = U @ phi
-        g = float(np.linalg.norm(phi))
-        lognorm = lognorms[-1] + math.log(g)
-        if lognorm > _LOG_NORM_MAX:
-            raise Overflow(
-                f"state norm exceeded 1e300 at t = {times[k]:.6g}",
-                time=float(times[k]))
-        phi = phi / g
-        units.append(phi)
-        lognorms.append(lognorm)
+    for _, phi, lognorm, failed in _step_stack(U[None], psi0[None], times):
+        if failed:
+            raise failed[0]
+        units.append(phi[0])
+        lognorms.append(lognorm[0])
     return _trace_arrays(times, units, lognorms, L)
+
+
+def _final_mipr_and_support(U, psi0, times, L):
+    """Evolve a stack of unit states psi0 (B, 2L) with their one-step
+    propagators U (B, 2L, 2L) and return, per row, the mIPR of the final
+    state and the largest cell support over all times, without keeping the
+    history: (mipr_final, max_support, failed). failed maps the rows that
+    dropped out to their exception; their entries of the arrays are
+    meaningless. Each value equals propagate(..., method="expm") bit for
+    bit."""
+    max_support = _support_rows(psi0)
+    mipr_final = np.zeros(len(psi0))
+    failed = {}
+    for live, phi, _, dropped in _step_stack(U, psi0, times):
+        failed.update(dropped)
+        max_support[live] = np.maximum(max_support[live], _support_rows(phi))
+    mipr_final[live] = _mipr_rows(phi, L)
+    return mipr_final, max_support, failed
 
 
 def _propagate_eig(H, psi0, times, L, res=None):
@@ -138,15 +208,8 @@ def _propagate_eig(H, psi0, times, L, res=None):
     return _trace_arrays(times, units, lognorms, L)
 
 
-def propagate(H, psi0, t_max, n_steps, method="auto"):
-    """Evolve psi0 under exp(-iHt) on a uniform grid of n_steps intervals.
-
-    method "eig" expands in the right eigenbasis (cheap per step, needs a
-    well-conditioned basis), "expm" steps with a fixed matrix exponential,
-    "auto" picks eig when the eigenvector condition number is below 1e6.
-    The returned trace holds raw states; norms are accumulated in log space
-    and an Overflow is raised past 1e300.
-    """
+def _evolution_inputs(H, psi0, t_max, n_steps, method):
+    """Validated complex H, unit psi0 and the time grid of propagate."""
     H = np.asarray(H, dtype=complex)
     dim = H.shape[0]
     if H.ndim != 2 or H.shape[1] != dim:
@@ -168,8 +231,20 @@ def propagate(H, psi0, t_max, n_steps, method="auto"):
         raise ValueError("t_max must be positive and finite")
     if method not in ("auto", "eig", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    times = np.linspace(0.0, float(t_max), n_steps + 1)
-    L = dim // 2
+    return H, psi0, np.linspace(0.0, float(t_max), n_steps + 1)
+
+
+def propagate(H, psi0, t_max, n_steps, method="auto"):
+    """Evolve psi0 under exp(-iHt) on a uniform grid of n_steps intervals.
+
+    method "eig" expands in the right eigenbasis (cheap per step, needs a
+    well-conditioned basis), "expm" steps with a fixed matrix exponential,
+    "auto" picks eig when the eigenvector condition number is below 1e6.
+    The returned trace holds raw states; norms are accumulated in log space
+    and an Overflow is raised past 1e300.
+    """
+    H, psi0, times = _evolution_inputs(H, psi0, t_max, n_steps, method)
+    L = H.shape[0] // 2
     if method == "expm":
         return _propagate_expm(H, psi0, times, L)
     res = eig(H, want_vectors=True)

@@ -15,6 +15,17 @@ class IprSplit(NamedTuple):
     dipr: float
 
 
+def _ipr_halves(rows, L):
+    """lipr and ripr of each row of rows (..., 2L)."""
+    p2 = np.abs(rows) ** 2
+    norm2 = p2.sum(axis=-1)
+    if not norm2.all():
+        raise ZeroState("cannot normalize the zero state")
+    p4 = (p2 / norm2[..., None]) ** 2
+    # 2 sites per cell, L/2 cells on the left
+    return p4[..., :L].sum(axis=-1), p4[..., L:].sum(axis=-1)
+
+
 def dipr(state, L):
     """Half-chain IPR split of a ladder state (length 2L, cells 1..L).
 
@@ -27,14 +38,7 @@ def dipr(state, L):
         raise ValueError("even L required to split the chain in half")
     if psi.size != 2 * L:
         raise DimensionMismatch(f"expected 2L = {2 * L} sites, got {psi.size}")
-    p2 = np.abs(psi) ** 2
-    norm2 = float(p2.sum())
-    if norm2 == 0.0:
-        raise ZeroState("cannot normalize the zero state")
-    p4 = (p2 / norm2) ** 2
-    half = L  # 2 sites per cell, L/2 cells on the left
-    lipr = float(p4[:half].sum())
-    ripr = float(p4[half:].sum())
+    lipr, ripr = (float(x) for x in _ipr_halves(psi, L))
     return IprSplit(lipr, ripr, lipr - ripr)
 
 
@@ -46,5 +50,9 @@ def mean_dipr(spectrum_result, L):
     if vecs.shape[0] != 2 * L:
         raise DimensionMismatch(
             f"expected 2L = {2 * L} rows, got {vecs.shape[0]}")
-    return float(np.mean([dipr(vecs[:, n], L).dipr
-                          for n in range(vecs.shape[1])]))
+    if L % 2 != 0:
+        raise ValueError("even L required to split the chain in half")
+    # one C-contiguous row per eigenvector, so that each row is summed in
+    # the same pairwise order as dipr sums one vector
+    lipr, ripr = _ipr_halves(np.ascontiguousarray(vecs.T, dtype=complex), L)
+    return float(np.mean(lipr - ripr))

@@ -9,7 +9,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .degeneracy import GENERIC, _defective_from, classify_point
-from .dynamics import initial_state, propagate
+from .dynamics import (_evolution_inputs, _final_mipr_and_support,
+                       _step_propagator, initial_state)
 from .localization import mean_dipr
 from .model import OBC, PBC, ModelParams, build_realspace, derive
 from .spectral import classify, eig, obc_spectrum_via_chains, pbc_dispersion
@@ -181,20 +182,47 @@ def dipr_map(spec, threads=1):
 
 def mipr_map(spec, t_max=20.0, n_steps=200, threads=1):
     """Displacement IPR of the evolved center-cell state at t_max per
-    node; Overflow is recorded as a row marker."""
+    node; Overflow is recorded as a row marker.
 
-    def worker(t0, gbar):
-        params = _node_params(spec, t0, gbar, spec.boundary)
-        H = build_realspace(params)
-        psi0 = initial_state(spec.L)
-        trace = propagate(H, psi0, t_max, n_steps, method="expm")
-        label = classify_point(params).label
-        return GridRow(t0=t0, gbar=gbar,
-                       mipr_final=float(trace.mipr_series[-1]),
-                       max_support=int(trace.support_series.max()),
-                       degeneracy_label=label, status=_status_flag(label))
-
-    return _run_grid(spec, worker, threads)
+    One grid row (fixed gbar) at a time: each node's one-step propagator
+    is built on its own, then the row's states advance together, one
+    stacked product per step, and the cell support and the final mIPR are
+    computed on the fly. A failure stays at its node. threads is accepted
+    for a uniform sweep interface and changes nothing.
+    """
+    t0_vals, gbar_vals = grid_axes(spec)
+    dim = 2 * spec.L
+    out = []
+    for gbar in gbar_vals:
+        U = np.empty((len(t0_vals), dim, dim), dtype=complex)
+        built, status, rows = [], {}, {}
+        for i, t0 in enumerate(t0_vals):
+            try:
+                params = _node_params(spec, t0, gbar, spec.boundary)
+                H, psi0, times = _evolution_inputs(
+                    build_realspace(params), initial_state(spec.L),
+                    t_max, n_steps, "expm")
+                U[len(built)] = _step_propagator(H, times)
+                built.append((i, psi0, classify_point(params).label))
+            except Exception as exc:  # row-level marker, never abort the grid
+                status[i] = type(exc).__name__
+        if built:
+            idx, psi, labels = zip(*built)
+            mipr_final, max_support, dropped = _final_mipr_and_support(
+                U[:len(built)], np.array(psi), times, spec.L)
+            for j, i in enumerate(idx):
+                if j in dropped:
+                    status[i] = type(dropped[j]).__name__
+                    continue
+                rows[i] = GridRow(t0=t0_vals[i], gbar=gbar,
+                                  mipr_final=float(mipr_final[j]),
+                                  max_support=int(max_support[j]),
+                                  degeneracy_label=labels[j],
+                                  status=_status_flag(labels[j]))
+        out += [rows[i] if i in rows else
+                GridRow(t0=t0, gbar=gbar, status=status[i])
+                for i, t0 in enumerate(t0_vals)]
+    return out
 
 
 class SpectrumOverlay(NamedTuple):

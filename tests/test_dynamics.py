@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nhcreutz.dynamics import _step_stack, _trace_arrays
 from nhcreutz import (
     OBC,
     PBC,
@@ -14,6 +18,20 @@ from nhcreutz import (
     mipr,
     propagate,
 )
+
+
+def reference_mipr(psi, L):
+    """The displacement IPR of one state, summed as np.dot sums it."""
+    p2 = np.abs(psi) ** 2
+    p4 = (p2 / float(p2.sum())) ** 2
+    w = (L / 2.0 - np.arange(1, L + 1)) / (L / 2.0)
+    return float(np.dot(w, p4[0::2] + p4[1::2]))
+
+
+def reference_support(psi, fraction=1e-6):
+    p2 = np.abs(psi) ** 2
+    cells = p2[0::2] + p2[1::2]
+    return int(np.sum(cells > fraction * float(cells.max())))
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=10, boundary=OBC):
@@ -59,6 +77,31 @@ class TestMipr:
         with pytest.raises(ZeroState):
             mipr(np.zeros(8), 4)
 
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            mipr(np.ones(10), 4)
+
+
+class TestTraceSeries:
+    def test_series_equal_per_state_values(self):
+        # seeded random history with a spread of cell supports
+        rng = np.random.default_rng(12)
+        L, n = 12, 41
+        units = rng.normal(size=(n, 2 * L)) + 1j * rng.normal(size=(n, 2 * L))
+        units *= rng.random((n, 2 * L)) < rng.random((n, 1))
+        units[:, 2 * (L // 2)] += 1.0  # no empty state
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        times = np.linspace(0.0, 1.0, n)
+        tr = _trace_arrays(times, list(units), np.zeros(n), L)
+        assert tr.mipr_series.tolist() == [mipr(u, L) for u in units]
+        assert tr.mipr_series.tolist() == \
+            [reference_mipr(u, L) for u in units]
+        assert tr.support_series.tolist() == \
+            [compacton_support(u) for u in units]
+        assert tr.support_series.tolist() == \
+            [reference_support(u) for u in units]
+        assert len(set(tr.support_series.tolist())) > 3
+
 
 class TestCompactonSupport:
     def test_single_cell(self):
@@ -75,6 +118,10 @@ class TestCompactonSupport:
             compacton_support(np.ones(8), fraction=1.0)
         with pytest.raises(ZeroState):
             compacton_support(np.zeros(8))
+
+    def test_empty_state(self):
+        with pytest.raises(ZeroState):
+            compacton_support(np.zeros(0))
 
 
 class TestPropagate:
@@ -142,6 +189,35 @@ class TestPropagate:
         overlap = np.abs(units.conj().T @ units[:, 0])
         for rep in (n_per, 2 * n_per, 3 * n_per, 4 * n_per):
             assert overlap[rep] > 0.99
+
+    def test_expm_equals_plain_step_loop(self):
+        # one mat-vec product, norm and log per step, bit for bit
+        H = build_realspace(params(t0=0.3, gbar=0.9, g0=0.2, L=10))
+        psi = initial_state(10, weights=(1.0, 0.5j))
+        tr = propagate(H, psi, 12.0, 60, method="expm")
+        U = scipy.linalg.expm(-1j * (tr.times[1] - tr.times[0]) * H)
+        phi, lognorm = tr.states[:, 0], 0.0
+        for k in range(1, 61):
+            phi = U @ phi
+            g = float(np.linalg.norm(phi))
+            lognorm += math.log(g)
+            phi = phi / g
+            assert tr.norms[k] == np.exp(lognorm)
+            assert np.array_equal(tr.states[:, k], phi * tr.norms[k])
+            assert tr.mipr_series[k] == reference_mipr(phi, 10)
+
+    def test_vanishing_norm_drops_only_its_row(self):
+        # expm is never singular, so drive the stepper with a zero
+        # propagator directly: that row drops out with math.log's error
+        times = np.linspace(0.0, 1.0, 3)
+        U = np.stack([np.eye(4, dtype=complex), np.zeros((4, 4), complex)])
+        psi = np.full((2, 4), 0.5, dtype=complex)
+        steps = list(_step_stack(U, psi, times))
+        live, phi, lognorms, failed = steps[0]
+        assert list(live) == [0] and list(failed) == [1]
+        assert isinstance(failed[1], ValueError)
+        assert np.array_equal(phi, psi[:1]) and lognorms == (0.0,)
+        assert len(steps) == 2 and steps[1][3] == {}
 
     def test_overflow_reports_time(self):
         H = np.diag([2.0j] * 4)  # pure gain, e^{2t} blow-up

@@ -13,6 +13,13 @@ from nhcreutz import (
 )
 
 
+def reference_dipr(psi, L):
+    """lipr - ripr of one state, each half summed on its own."""
+    p2 = np.abs(psi) ** 2
+    p4 = (p2 / float(p2.sum())) ** 2
+    return float(p4[:L].sum()) - float(p4[L:].sum())
+
+
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=10, **kw):
     return ModelParams.from_bars(tbar=tbar, t0=t0, gbar=gbar, g0=g0, L=L,
                                  **kw)
@@ -91,3 +98,16 @@ class TestMeanDipr:
         mp = mean_dipr(eig(build_realspace(p), want_vectors=True), 20)
         mq = mean_dipr(eig(build_realspace(q), want_vectors=True), 20)
         assert abs(mp + mq) < 1e-6
+
+    def test_equals_per_vector_loop(self):
+        for t0, gbar, g0 in ((0.8, 0.4, 0.5), (-0.3, 1.2, 0.7),
+                             (1.1, -0.6, 0.2)):
+            res = eig(build_realspace(params(t0=t0, gbar=gbar, g0=g0, L=20)),
+                      want_vectors=True)
+            vecs = res.right_eigenvectors
+            per_vector = [dipr(vecs[:, n], 20).dipr
+                          for n in range(vecs.shape[1])]
+            assert mean_dipr(res, 20) == float(np.mean(per_vector))
+            assert mean_dipr(res, 20) == float(np.mean(
+                [reference_dipr(vecs[:, n], 20)
+                 for n in range(vecs.shape[1])]))

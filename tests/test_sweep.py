@@ -16,10 +16,12 @@ from nhcreutz import (
     dipr_map,
     eig,
     grid_axes,
+    initial_state,
     mean_dipr,
     mipr_map,
     obc_spectrum_via_chains,
     phase_diagram,
+    propagate,
     spectrum_overlay,
 )
 
@@ -27,6 +29,31 @@ from nhcreutz import (
 def spec(lo=-1.0, hi=1.0, n=5, g0=0.5, **kw):
     return GridSpec(t0_range=(lo, hi, n), gbar_range=(lo, hi, n), g0=g0,
                     **kw)
+
+
+def per_node_mipr(s, t_max, n_steps):
+    """The rows of mipr_map from one propagate(..., method="expm") call
+    per node."""
+    rows = []
+    t0v, gv = grid_axes(s)
+    for gbar in gv:
+        for t0 in t0v:
+            p = ModelParams.from_bars(tbar=s.tbar, t0=t0, gbar=gbar,
+                                      g0=s.g0, L=s.L, boundary=s.boundary)
+            try:
+                tr = propagate(build_realspace(p), initial_state(s.L),
+                               t_max, n_steps, method="expm")
+                label = classify_point(p).label
+            except Exception as exc:
+                rows.append(GridRow(t0=t0, gbar=gbar,
+                                    status=type(exc).__name__))
+                continue
+            rows.append(GridRow(
+                t0=t0, gbar=gbar, mipr_final=float(tr.mipr_series[-1]),
+                max_support=int(tr.support_series.max()),
+                degeneracy_label=label,
+                status="ok" if label == GENERIC else label))
+    return rows
 
 
 class TestGridSpec:
@@ -190,6 +217,57 @@ class TestMiprMap:
         for r in rows:
             if r.status == "Overflow":
                 assert r.mipr_final is None
+
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    def test_row_engine_equals_per_node_propagate(self, boundary):
+        s = spec(lo=-1.5, hi=1.5, n=4, L=12, boundary=boundary)
+        rows = mipr_map(s, t_max=10.0, n_steps=50)
+        assert all(r.status != "Overflow" for r in rows)
+        assert rows == per_node_mipr(s, t_max=10.0, n_steps=50)
+
+    def test_overflow_mixed_with_ok_nodes(self):
+        s = GridSpec(t0_range=(5.5, 6.5, 4), gbar_range=(5.5, 6.5, 4),
+                     g0=0.5, L=10)
+        rows = mipr_map(s, t_max=200.0, n_steps=20)
+        statuses = {r.status for r in rows}
+        assert {"ok", "Overflow"} <= statuses
+        assert rows == per_node_mipr(s, t_max=200.0, n_steps=20)
+
+    @pytest.mark.parametrize("fault, status", [
+        ("raise", "ConvergenceFailure"),
+        ("nan", "ValueError"),  # H rejected as not finite
+        ("zero", "ValueError"),  # the norm vanishes at the first step
+    ])
+    def test_node_failure_stays_at_node(self, monkeypatch, fault, status):
+        s = spec(lo=0.2, hi=0.8, n=4, L=10)
+        clean = mipr_map(s, t_max=5.0, n_steps=20)
+        bad = clean[9]
+        build, step = sweep.build_realspace, sweep._step_propagator
+
+        def faulty_build(params):
+            H = build(params)
+            if (params.t0, params.g1) == (bad.t0, bad.gbar):
+                if fault == "raise":
+                    raise ConvergenceFailure("injected")
+                if fault == "nan":
+                    H[0, 1] = np.nan
+                if fault == "zero":
+                    H[:] = 0.0
+            return H
+
+        def faulty_step(H, times):
+            return np.zeros_like(H) if not H.any() else step(H, times)
+
+        monkeypatch.setattr(sweep, "build_realspace", faulty_build)
+        monkeypatch.setattr(sweep, "_step_propagator", faulty_step)
+        rows = mipr_map(s, t_max=5.0, n_steps=20)
+        assert rows[9] == GridRow(t0=bad.t0, gbar=bad.gbar, status=status)
+        assert rows[:9] + rows[10:] == clean[:9] + clean[10:]
+
+    def test_thread_determinism(self):
+        s = spec(lo=0.2, hi=0.8, n=3, L=10)
+        assert mipr_map(s, t_max=5.0, n_steps=20, threads=1) == \
+            mipr_map(s, t_max=5.0, n_steps=20, threads=3)
 
     def test_boundary_passed_through(self):
         s_obc = spec(lo=0.3, hi=0.7, n=2, L=10, boundary=OBC)
