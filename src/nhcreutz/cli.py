@@ -104,7 +104,7 @@ def _add_sweep_flags(p):
     p.add_argument("--snap-special", action="store_true",
                    help="move nearest grid lines onto +-g0, +-tbar")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (output is identical for any N)")
+                   help="has no effect; accepted for old command lines")
 
 
 def _add_output_flags(p, formats):
@@ -375,7 +375,7 @@ def _heat_grid(rows, spec, field):
     return vals
 
 
-def _write_sweep(ns, sp, rows, columns, fields, heat_field):
+def _write_sweep(ns, sp, rows, fields, heat_field, columns=None):
     if ns.format == "svg":
         spec = _grid_spec(ns)
         t0_vals, gbar_vals = grid_axes(spec)
@@ -386,24 +386,20 @@ def _write_sweep(ns, sp, rows, columns, fields, heat_field):
         Path(ns.output).write_text(text)
         return
     table = [tuple(getattr(r, f) for f in fields) for r in rows]
-    _write_table(ns, sp, ns.output, columns, table)
+    _write_table(ns, sp, ns.output, columns or fields, table)
 
 
 def cmd_phase(ns, sp):
-    rows = phase_diagram(_grid_spec(ns), threads=ns.threads)
-    _write_sweep(ns, sp, rows,
-                 ("t0", "gbar", "M_pbc", "M_obc", "class_obc", "degeneracy",
-                  "status"),
+    _write_sweep(ns, sp, phase_diagram(_grid_spec(ns)),
                  ("t0", "gbar", "M_pbc", "M_obc", "class_obc",
-                  "degeneracy_label", "status"),
-                 "M_obc")
+                  "degeneracy_label", "status"), "M_obc",
+                 columns=("t0", "gbar", "M_pbc", "M_obc", "class_obc",
+                          "degeneracy", "status"))
     return 0
 
 
 def cmd_dipr(ns, sp):
-    rows = dipr_map(_grid_spec(ns), threads=ns.threads)
-    _write_sweep(ns, sp, rows,
-                 ("t0", "gbar", "mean_dipr", "defective", "status"),
+    _write_sweep(ns, sp, dipr_map(_grid_spec(ns)),
                  ("t0", "gbar", "mean_dipr", "defective", "status"),
                  "mean_dipr")
     return 0
@@ -411,9 +407,8 @@ def cmd_dipr(ns, sp):
 
 def cmd_mipr(ns, sp):
     rows = mipr_map(_grid_spec(ns, boundary=ns.boundary),
-                    t_max=ns.t_max, n_steps=ns.n_steps, threads=ns.threads)
+                    t_max=ns.t_max, n_steps=ns.n_steps)
     _write_sweep(ns, sp, rows,
-                 ("t0", "gbar", "mipr_final", "max_support", "status"),
                  ("t0", "gbar", "mipr_final", "max_support", "status"),
                  "mipr_final")
     return 0

@@ -227,9 +227,9 @@ def _balanced_tridiag_eig(T):
     # chain entries are pure imaginary, so lo/up is exactly real and the
     # cumulative envelope stays exactly real or imaginary per site
     d = np.concatenate([np.ones(1, dtype=complex), np.cumprod(np.sqrt(lo / up))])
-    if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
-        raise Overflow("balancing envelope overflows; chain too long for "
-                       "this non-reciprocity")
+    if not (np.all(np.isfinite(d)) and np.all(d)):
+        raise Overflow("balancing envelope overflows or underflows; chain "
+                       "too long for this non-reciprocity")
     s = up * d[1:] / d[:-1]
     if np.all(s.imag == 0.0):
         lam, Y = sla.eigh_tridiagonal(np.zeros(n), s.real)

@@ -1,8 +1,8 @@
 """Parameter-grid engines for phase maps, skin-effect maps, and
 PBC/OBC spectrum overlays."""
 
+import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -11,9 +11,13 @@ import numpy as np
 from .degeneracy import GENERIC, _defective_from, classify_point
 from .dynamics import (_evolution_inputs, _final_mipr_and_support,
                        _step_propagator, initial_state)
+from .errors import Overflow
 from .localization import mean_dipr
 from .model import OBC, PBC, ModelParams, build_realspace, derive
-from .spectral import classify, eig, obc_spectrum_via_chains, pbc_dispersion
+from .spectral import (classify, eig, obc_eig_via_chains,
+                       obc_spectrum_via_chains, pbc_dispersion)
+
+CHAIN_RESIDUAL_GATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,30 +92,12 @@ def _node_params(spec, t0, gbar, boundary):
                                  g0=spec.g0, L=spec.L, boundary=boundary)
 
 
-def _run_grid(spec, worker, threads):
-    t0_vals, gbar_vals = grid_axes(spec)
-    # row-major: gbar index outer, t0 index inner
-    jobs = [(t0, gbar) for gbar in gbar_vals for t0 in t0_vals]
-
-    def guarded(job):
-        try:
-            return worker(*job)
-        except Exception as exc:  # row-level marker, never abort the grid
-            return GridRow(t0=job[0], gbar=job[1],
-                           status=type(exc).__name__)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(guarded, jobs))
-    return [guarded(job) for job in jobs]
-
-
 def _status_flag(label):
     # degeneracy loci are flagged in maps that lack a degeneracy column
     return "ok" if label == GENERIC else label
 
 
-def phase_diagram(spec, threads=1):
+def phase_diagram(spec):
     """Spectral-density measure M and spectrum class on the grid; PBC from
     the closed-form dispersion on k_m = 2 pi m / L, OBC from the reduced
     chain pair.
@@ -119,7 +105,6 @@ def phase_diagram(spec, threads=1):
     One grid row (fixed gbar) at a time: the dispersion, M and the class
     labels are computed for the whole row at once, the chain spectra and
     the degeneracy label node by node, so a failure stays at its node.
-    threads is accepted for a uniform sweep interface and changes nothing.
     """
     t0_vals, gbar_vals = grid_axes(spec)
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L
@@ -162,33 +147,52 @@ def _diagonalizable(params, label):
         (d.g * d.g - d.f * d.f) * (d.gp * d.gp - d.fp * d.fp) > 0.0
 
 
-def dipr_map(spec, threads=1):
-    """Eigenstate-averaged half-chain IPR difference on the grid (dense
-    OBC eigenvectors) plus a defectiveness flag: False where the chain
-    structure proves the node diagonalizable, numerical elsewhere."""
-
-    def worker(t0, gbar):
-        params = _node_params(spec, t0, gbar, OBC)
-        res = eig(build_realspace(params), want_vectors=True)
-        md = mean_dipr(res, spec.L)
-        label = classify_point(params).label
-        dfc = False if _diagonalizable(params, label) else \
-            _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
-        return GridRow(t0=t0, gbar=gbar, mean_dipr=md, defective=dfc,
-                       degeneracy_label=label, status=_status_flag(label))
-
-    return _run_grid(spec, worker, threads)
+def _node_eig(params, label):
+    """OBC eigenpairs: from the balanced chains at Generic nodes where the
+    chain solve succeeds with residual <= CHAIN_RESIDUAL_GATE max|E|, from
+    dense eig on the loci (no balancing exists) and next to them."""
+    if label == GENERIC:
+        with contextlib.suppress(Overflow, np.linalg.LinAlgError), \
+                np.errstate(all="ignore"):
+            res = obc_eig_via_chains(params)
+            if res.residual_max <= \
+                    CHAIN_RESIDUAL_GATE * np.abs(res.eigenvalues).max():
+                return res
+    return eig(build_realspace(params), want_vectors=True)
 
 
-def mipr_map(spec, t_max=20.0, n_steps=200, threads=1):
+def dipr_map(spec):
+    """Eigenstate-averaged half-chain IPR difference (eigenpairs from
+    _node_eig) and a defectiveness flag, False where the chain structure
+    proves the node diagonalizable; node by node, failures stay there."""
+    t0_vals, gbar_vals = grid_axes(spec)
+    out = []
+    for gbar in gbar_vals:
+        for t0 in t0_vals:
+            try:
+                params = _node_params(spec, t0, gbar, OBC)
+                label = classify_point(params).label
+                res = _node_eig(params, label)
+                dfc = not _diagonalizable(params, label) and _defective_from(
+                    res.eigenvalues, res.right_eigenvectors, 1e-6)
+                out.append(GridRow(t0=t0, gbar=gbar,
+                                   mean_dipr=mean_dipr(res, spec.L),
+                                   defective=dfc, degeneracy_label=label,
+                                   status=_status_flag(label)))
+            except Exception as exc:  # row-level marker, never abort the grid
+                out.append(GridRow(t0=t0, gbar=gbar,
+                                   status=type(exc).__name__))
+    return out
+
+
+def mipr_map(spec, t_max=20.0, n_steps=200):
     """Displacement IPR of the evolved center-cell state at t_max per
     node; Overflow is recorded as a row marker.
 
     One grid row (fixed gbar) at a time: each node's one-step propagator
     is built on its own, then the row's states advance together, one
     stacked product per step, and the cell support and the final mIPR are
-    computed on the fly. A failure stays at its node. threads is accepted
-    for a uniform sweep interface and changes nothing.
+    computed on the fly. A failure stays at its node.
     """
     t0_vals, gbar_vals = grid_axes(spec)
     dim = 2 * spec.L

@@ -179,7 +179,9 @@ def test_criterion_07_bbc_restoration():
     start = time.perf_counter()
     p50 = P(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=50, boundary=OBC)
     area = enclosed_area(p50)
-    md = mean_dipr(eig(build_realspace(p50), want_vectors=True), 50)
+    # chain-route eigenvectors, as in dipr_map; a 60-digit reference gives
+    # +4.48851138198e-3 here, dense eig -3.6e-4
+    md = mean_dipr(obc_eig_via_chains(p50), 50)
     h = {}
     for L in (50, 200):
         p_obc = P(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=L, boundary=OBC)

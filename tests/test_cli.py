@@ -112,15 +112,19 @@ class TestSweepCommands:
                               "--range", "-0.5:0.5", "--L", "10"]) == 0
         assert (tmp_path / "dipr.csv").exists()
 
-    def test_threads_byte_identical(self, tmp_path, capsys):
-        base = ["phase", "--g0", "0.5", "--grid", "4x4", "--range", "-1:1",
+    @pytest.mark.parametrize("command", ["phase", "dipr", "mipr"])
+    def test_threads_byte_identical(self, tmp_path, capsys, command):
+        base = [command, "--g0", "0.5", "--grid", "4x4", "--range", "-1:1",
                 "--L", "10"]
-        assert run(tmp_path, base + ["-o", "a.csv"]) == 0
+        if command == "mipr":
+            base += ["--t-max", "5", "--n-steps", "10"]
+        assert run(tmp_path, base + ["-o", "a.csv", "--threads", "1"]) == 0
         assert run(tmp_path, base + ["-o", "b.csv", "--threads", "4"]) == 0
-        a = (tmp_path / "a.csv").read_text()
-        b = (tmp_path / "b.csv").read_text()
+        a = (tmp_path / "a.csv").read_text().splitlines()
+        b = (tmp_path / "b.csv").read_text().splitlines()
         # headers differ in -o/--threads; data rows must match exactly
-        assert a.splitlines()[1:] == b.splitlines()[1:]
+        assert "--threads 4" in b[0]
+        assert a[1:] == b[1:]
 
     def test_mipr_csv(self, tmp_path, capsys):
         assert run(tmp_path, ["mipr", "--g0", "0.5", "--grid", "2x2",

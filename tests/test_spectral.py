@@ -13,6 +13,7 @@ from nhcreutz import (
     REAL,
     ImbalancedParameters,
     ModelParams,
+    Overflow,
     SingularGauge,
     build_bloch,
     build_realspace,
@@ -242,6 +243,13 @@ class TestChainEig:
     def test_singular_on_exceptional_line(self):
         with pytest.raises(SingularGauge):
             obc_eig_via_chains(params(t0=0.3, gbar=0.8, g0=0.5, L=8))
+
+    def test_envelope_underflow_raises_overflow(self):
+        # 1e-9 off the exceptional line g = f: the balancing envelope of
+        # one chain falls below the smallest subnormal at L=200
+        with pytest.raises(Overflow):
+            obc_eig_via_chains(params(t0=0.3, gbar=0.7999999990000001,
+                                      g0=0.5, L=200))
 
     def test_pbc_rejected(self):
         with pytest.raises(ValueError):

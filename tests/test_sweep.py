@@ -19,6 +19,7 @@ from nhcreutz import (
     initial_state,
     mean_dipr,
     mipr_map,
+    obc_eig_via_chains,
     obc_spectrum_via_chains,
     phase_diagram,
     propagate,
@@ -118,12 +119,6 @@ class TestPhaseDiagram:
                 assert r.class_obc in ("Real", "Collapsed")
                 assert r.M_pbc == pytest.approx(1.0, abs=1e-9)
 
-    def test_thread_determinism(self):
-        s = spec(n=4, L=10)
-        one = phase_diagram(s, threads=1)
-        four = phase_diagram(s, threads=4)
-        assert one == four
-
     def test_node_failure_stays_at_node(self, monkeypatch):
         s = spec(n=4, L=10)
         clean = phase_diagram(s)
@@ -155,16 +150,89 @@ class TestPhaseDiagram:
                                    "Collapsed")
 
 
+def resolvable(p):
+    """Criterion 8's gap rule, applied to both chains together: no two
+    ladder eigenvalues closer than 1e-10 max|E| (sorted adjacent gaps).
+    Below that the eigenbasis of a pair is arbitrary in any arithmetic
+    and eigenvector averages are not well posed."""
+    z = np.sort_complex(np.concatenate(obc_spectrum_via_chains(p)))
+    return np.min(np.abs(np.diff(z))) > 1e-10 * np.max(np.abs(z))
+
+
 class TestDiprMap:
     def test_values_match_direct(self):
+        # each row equals the route dipr_map documents (balanced chains at
+        # Generic nodes, dense eig on the loci), and dense eig wherever
+        # the ladder spectrum is resolvable. At (0, 0) both chains carry
+        # the same products, so every eigenvalue is shared: the dense
+        # average there depends on the eigenbasis LAPACK returns (-0.0058),
+        # while the exact value is 0 and the chain route gives 0 to 2e-17.
         s = spec(n=3, L=10)
         rows = dipr_map(s)
+        n_resolvable = 0
         for r in rows:
             p = ModelParams.from_bars(tbar=1.0, t0=r.t0, gbar=r.gbar,
                                       g0=0.5, L=10)
-            res = eig(build_realspace(p), want_vectors=True)
-            assert r.mean_dipr == pytest.approx(mean_dipr(res, 10))
+            dense = mean_dipr(eig(build_realspace(p), want_vectors=True), 10)
+            if r.degeneracy_label == GENERIC:
+                assert r.mean_dipr == mean_dipr(obc_eig_via_chains(p), 10)
+            else:
+                assert r.mean_dipr == dense
+            if resolvable(p):
+                n_resolvable += 1
+                assert r.mean_dipr == pytest.approx(dense, abs=1e-10)
             assert r.defective in (True, False)
+        assert n_resolvable == 8
+        p00 = ModelParams.from_bars(tbar=1.0, t0=0.0, gbar=0.0, g0=0.5, L=10)
+        assert not resolvable(p00)
+        assert rows[4].mean_dipr == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("t0, gbar, g0, ref", [
+        (0.019, -1.0, 0.019, 0.47696770000815109941),
+        (0.8, 0.4, 0.5, 0.0044885113819758139039),
+    ])
+    def test_matches_60_digit_reference(self, t0, gbar, g0, ref):
+        # References: each chain of build_nhssh, built from the same
+        # binary parameter values, diagonalized by mpmath.eig at 60
+        # significant digits (at 90 digits the first 20 are the same).
+        # Chain site m = 0..L-1 is one w-orbital of cell L - m, and both
+        # ladder sites of that cell carry half its intensity. So a chain
+        # eigenvector x with P_m = |x_m|^2 / sum |x|^2 has dIPR = (sum of
+        # P_m^2 over cells 1..L/2 - sum over cells L/2+1..L) / 2, and
+        # <dIPR> is the mean over the 2L eigenvectors of both chains.
+        # Dense eig gives about 0.85 and -4e-4 here.
+        s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
+                     gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=50)
+        row = dipr_map(s)[0]
+        assert (row.t0, row.gbar, row.status) == (t0, gbar, "ok")
+        assert abs(row.mean_dipr - ref) <= 1e-10
+
+    @pytest.mark.parametrize("t0, gbar, L", [
+        # residual 1.80 against max|E| 1.9: the chain vectors are lost
+        (-0.05665856467284369, 1.557951337396001, 50),
+        # 2e-12 off the exceptional line g = f: the chain solve fails
+        (0.3, 0.7999999999980001, 60),
+    ])
+    def test_near_exceptional_node_falls_back_to_dense(self, t0, gbar, L):
+        # Generic nodes close to an exceptional line take dense eig, and
+        # never write a chain average that fails the residual gate
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
+        try:
+            with np.errstate(all="ignore"):
+                chains = obc_eig_via_chains(p)
+        except np.linalg.LinAlgError:
+            chain_dipr = None
+        else:
+            assert chains.residual_max > \
+                sweep.CHAIN_RESIDUAL_GATE * np.abs(chains.eigenvalues).max()
+            chain_dipr = mean_dipr(chains, L)
+        s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
+                     gbar_range=(gbar, gbar + 0.1, 2), g0=0.5, L=L)
+        row = dipr_map(s)[0]
+        assert (row.degeneracy_label, row.status) == (GENERIC, "ok")
+        dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
+        assert row.mean_dipr == dense
+        assert row.mean_dipr != chain_dipr
 
     def test_efb_diagonal_flagged(self):
         s = spec(lo=-2.0, hi=2.0, n=5, g0=1.0, L=10)
@@ -174,10 +242,6 @@ class TestDiprMap:
         assert all(r.status in ("EFBLine", "EFBIntersection")
                    for r in flagged)
         assert any(r.status == "EFBLine" for r in flagged)
-
-    def test_thread_determinism(self):
-        s = spec(n=3, L=10)
-        assert dipr_map(s, threads=1) == dipr_map(s, threads=3)
 
     def test_same_sign_generic_nodes_not_defective(self):
         # at (t0, gbar) = (0.3, -2.0), g0 = 0.3: u^2 = -1.2, v^2 = -4.8, and
@@ -263,11 +327,6 @@ class TestMiprMap:
         rows = mipr_map(s, t_max=5.0, n_steps=20)
         assert rows[9] == GridRow(t0=bad.t0, gbar=bad.gbar, status=status)
         assert rows[:9] + rows[10:] == clean[:9] + clean[10:]
-
-    def test_thread_determinism(self):
-        s = spec(lo=0.2, hi=0.8, n=3, L=10)
-        assert mipr_map(s, t_max=5.0, n_steps=20, threads=1) == \
-            mipr_map(s, t_max=5.0, n_steps=20, threads=3)
 
     def test_boundary_passed_through(self):
         s_obc = spec(lo=0.3, hi=0.7, n=2, L=10, boundary=OBC)
