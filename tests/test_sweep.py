@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ from nhcreutz import (
 def spec(lo=-1.0, hi=1.0, n=5, g0=0.5, **kw):
     return GridSpec(t0_range=(lo, hi, n), gbar_range=(lo, hi, n), g0=g0,
                     **kw)
+
+
+def concurrent_runs(fn, n):
+    """The results of n calls of fn made at once from n threads; the maps
+    keep no shared state, so each must equal a call made alone."""
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return [f.result() for f in [pool.submit(fn) for _ in range(n)]]
 
 
 def per_node_mipr(s, t_max, n_steps):
@@ -118,6 +127,12 @@ class TestPhaseDiagram:
             if r.gbar == pytest.approx(r.t0 * 0.5):
                 assert r.class_obc in ("Real", "Collapsed")
                 assert r.M_pbc == pytest.approx(1.0, abs=1e-9)
+
+    def test_thread_determinism(self):
+        s = spec(n=4, L=10)
+        one = phase_diagram(s)
+        for four in concurrent_runs(lambda: phase_diagram(s), 4):
+            assert one == four
 
     def test_node_failure_stays_at_node(self, monkeypatch):
         s = spec(n=4, L=10)
@@ -243,6 +258,12 @@ class TestDiprMap:
                    for r in flagged)
         assert any(r.status == "EFBLine" for r in flagged)
 
+    def test_thread_determinism(self):
+        s = spec(n=3, L=10)
+        one = dipr_map(s)
+        for three in concurrent_runs(lambda: dipr_map(s), 3):
+            assert one == three
+
     def test_same_sign_generic_nodes_not_defective(self):
         # at (t0, gbar) = (0.3, -2.0), g0 = 0.3: u^2 = -1.2, v^2 = -4.8, and
         # one chain's edge pair (E = +-4.9e-8 i) is split far below the
@@ -327,6 +348,13 @@ class TestMiprMap:
         rows = mipr_map(s, t_max=5.0, n_steps=20)
         assert rows[9] == GridRow(t0=bad.t0, gbar=bad.gbar, status=status)
         assert rows[:9] + rows[10:] == clean[:9] + clean[10:]
+
+    def test_thread_determinism(self):
+        s = spec(lo=0.2, hi=0.8, n=3, L=10)
+        one = mipr_map(s, t_max=5.0, n_steps=20)
+        for three in concurrent_runs(
+                lambda: mipr_map(s, t_max=5.0, n_steps=20), 3):
+            assert one == three
 
     def test_boundary_passed_through(self):
         s_obc = spec(lo=0.3, hi=0.7, n=2, L=10, boundary=OBC)
