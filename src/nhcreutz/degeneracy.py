@@ -136,37 +136,30 @@ def jordan_structure(H, lam, tol_rank=None):
     return tuple(sorted(sizes))
 
 
-def _cluster_eigenvalues(eigs, radius):
-    """Union-find clustering of eigenvalues within the given radius."""
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _defective_from(eigs, vecs, tol):
-    """Defectiveness test given a computed eigendecomposition."""
+    """Defectiveness test given a computed eigendecomposition.
+
+    Eigenvalues within 1e-6 max|E| of each other, transitively, form a
+    cluster; the test sums the numerical rank (singular values above tol
+    times the largest) of each cluster's eigenvectors. For tol < 1 a
+    finite singleton has rank 1 exactly when its vector is nonzero, so
+    only the other clusters take an SVD.
+    """
     dim = vecs.shape[0]
     radius = 1e-6 * float(np.abs(eigs).max())
-    total = 0
-    for idx in _cluster_eigenvalues(eigs, radius):
-        V = vecs[:, idx]
-        s = np.linalg.svd(V, compute_uv=False)
+    near = np.abs(eigs[:, None] - eigs) <= radius
+    np.fill_diagonal(near, False)
+    quick = ~near.any(axis=1) & np.isfinite(vecs).all(axis=0)
+    nonzero = np.count_nonzero(vecs[:, quick].any(axis=0))
+    total = int(nonzero) if tol < 1.0 else 0
+    rest = np.flatnonzero(~quick)
+    # connected components: spread the smallest index until it settles
+    link = near[np.ix_(rest, rest)] | np.eye(len(rest), dtype=bool)
+    label, prev, n = rest, None, len(eigs)
+    while not np.array_equal(label, prev):
+        label, prev = np.where(link, label, n).min(axis=1, initial=n), label
+    for c in np.unique(label):
+        s = np.linalg.svd(vecs[:, rest[label == c]], compute_uv=False)
         total += int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
     return total < dim
 

@@ -113,21 +113,16 @@ def build_realspace(params):
     L = params.L
     t0, t1, t2 = params.t0, params.t1, params.t2
     g0, g1, g2 = params.g0, params.g1, params.g2
+    j = np.arange(L if params.boundary == PBC else L - 1)
+    a, b = 2 * j, 2 * j + 1
+    ap, bp = (a + 2) % (2 * L), (b + 2) % (2 * L)
+    rows = np.concatenate([ap, a, bp, b, ap, bp, a, b])
+    cols = np.concatenate([a, ap, b, bp, b, a, bp, ap])
+    vals = np.repeat([-1j * (t1 + g1), 1j * (t1 - g1), 1j * (t2 + g2),
+                      -1j * (t2 - g2), -(t0 + g0), -(t0 + g0), -(t0 - g0),
+                      -(t0 - g0)], len(j))
     H = np.zeros((2 * L, 2 * L), dtype=complex)
-    a = lambda j: 2 * j
-    b = lambda j: 2 * j + 1
-    bonds = [(j, j + 1) for j in range(L - 1)]
-    if params.boundary == PBC:
-        bonds.append((L - 1, 0))
-    for j, jp in bonds:
-        H[a(jp), a(j)] += -1j * (t1 + g1)
-        H[a(j), a(jp)] += 1j * (t1 - g1)
-        H[b(jp), b(j)] += 1j * (t2 + g2)
-        H[b(j), b(jp)] += -1j * (t2 - g2)
-        H[a(jp), b(j)] += -(t0 + g0)
-        H[b(jp), a(j)] += -(t0 + g0)
-        H[a(j), b(jp)] += -(t0 - g0)
-        H[b(j), a(jp)] += -(t0 - g0)
+    np.add.at(H, (rows, cols), vals)
     return H
 
 
@@ -151,11 +146,11 @@ def w_basis(L):
         raise ValueError("L must be >= 1")
     U = np.zeros((2 * L, 2 * L), dtype=complex)
     r = 1.0 / math.sqrt(2.0)
-    for j in range(L):
-        U[2 * j, 2 * j] = r
-        U[2 * j, 2 * j + 1] = 1j * r
-        U[2 * j + 1, 2 * j] = r
-        U[2 * j + 1, 2 * j + 1] = -1j * r
+    a = 2 * np.arange(L)
+    U[a, a] = r
+    U[a, a + 1] = 1j * r
+    U[a + 1, a] = r
+    U[a + 1, a + 1] = -1j * r
     return U
 
 

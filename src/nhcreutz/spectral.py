@@ -148,26 +148,19 @@ def _chain_offdiag_squares(d, L):
     return np.resize([v2, u2], L - 1), np.resize([u2, v2], L - 1)
 
 
-def _tridiag_spectrum_from_squares(sq):
-    """Eigenvalues of the zero-diagonal tridiagonal with off-diagonal
-    products sq (spectra depend only on those products).
+def _split_halves(sq):
+    """The two real L/2 x L/2 halves of a mixed-sign chain with
+    off-diagonal products sq, and whether they split the rotated chain.
 
-    Same-sign products give a real or imaginary symmetric tridiagonal.
-    Mixed signs need the chain shape: even order L and palindromic sq. In
-    symmetric form the chain is then centrosymmetric, and the basis
-    (e_j +- e_{L+1-j})/sqrt(2) splits it exactly into the two L/2 x L/2
-    halves A +- c e_m e_m^T, c^2 the middle product (Cantoni & Butler,
-    Lin. Alg. Appl. 13, 275 (1976)). A negative middle product is split
-    on iT (products -sq) instead, so c stays real. A diagonal similarity
-    makes each half real (superdiagonal sqrt|p|, subdiagonal
-    sign(p) sqrt|p|), and one real solve of the (2, L/2, L/2) stack
-    replaces a complex L x L one.
+    The chain needs even order L and palindromic sq. In symmetric form it
+    is then centrosymmetric, and the basis (e_j +- e_{L+1-j})/sqrt(2)
+    splits it exactly into the halves A +- c e_m e_m^T, c^2 the middle
+    product (Cantoni & Butler, Lin. Alg. Appl. 13, 275 (1976)). A
+    negative middle product is split on iT (products -sq) instead, so c
+    stays real. A diagonal similarity makes each half real (superdiagonal
+    sqrt|p|, subdiagonal sign(p) sqrt|p|).
     """
     L = len(sq) + 1
-    if np.all(sq >= 0.0):
-        return sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(sq)).astype(complex)
-    if np.all(sq <= 0.0):
-        return 1j * sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(-sq))
     if L % 2 or not np.array_equal(sq, sq[::-1]):
         raise ValueError("mixed-sign products must be palindromic, even order")
     m = L // 2
@@ -180,6 +173,23 @@ def _tridiag_spectrum_from_squares(sq):
     halves[:, j + 1, j] = np.sign(p[:-1]) * s
     halves[0, -1, -1] = math.sqrt(p[-1])
     halves[1, -1, -1] = -math.sqrt(p[-1])
+    return halves, rotate
+
+
+def _tridiag_spectrum_from_squares(sq):
+    """Eigenvalues of the zero-diagonal tridiagonal with off-diagonal
+    products sq (spectra depend only on those products).
+
+    Same-sign products give a real or imaginary symmetric tridiagonal.
+    Mixed signs go through _split_halves: one real solve of the
+    (2, L/2, L/2) stack replaces a complex L x L one.
+    """
+    L = len(sq) + 1
+    if np.all(sq >= 0.0):
+        return sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(sq)).astype(complex)
+    if np.all(sq <= 0.0):
+        return 1j * sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(-sq))
+    halves, rotate = _split_halves(sq)
     try:
         E = np.linalg.eigvals(halves).ravel().astype(complex)
     except np.linalg.LinAlgError as exc:
@@ -207,7 +217,31 @@ def obc_spectrum_via_chains(params):
             _tridiag_spectrum_from_squares(c2))
 
 
-def _balanced_tridiag_eig(T):
+def _split_eig(s, sq):
+    """Eigenpairs of the complex symmetric chain with couplings s, each
+    real or imaginary, s^2 = sq up to rounding, sq mixed-sign.
+
+    A vector y of a half of _split_halves, with the half's similarity (a
+    factor -i per negative bond) undone, gives the vector [y; +-Jy]/sqrt(2)
+    of the chain with principal couplings sqrt(p). Here p = sq, or p = -sq
+    when the halves split the rotated chain i S, whose eigenvalues E are
+    i times those of S. Site signs tau carry the vectors to the couplings
+    s, so a column is exactly J-even or J-odd when s is palindromic.
+    """
+    halves, rotate = _split_halves(sq)
+    E, Yh = np.linalg.eig(halves)
+    turns = np.cumsum(np.concatenate([[0], np.diagonal(halves[0], -1) < 0.0]))
+    y = np.array([1.0, -1j, -1.0, 1j])[turns % 4, None] \
+        * np.concatenate(Yh, axis=1) / math.sqrt(2.0)
+    Y = np.concatenate([y, y[::-1] * np.repeat([1.0, -1.0], len(y))])
+    # r is real or imaginary like sqrt(p): r / sqrt(p) = sign(r.real + r.imag)
+    r = 1j * s if rotate else s
+    tau = np.concatenate([[1.0], np.cumprod(np.sign(r.real + r.imag))])
+    lam = E.ravel().astype(complex)
+    return (-1j * lam if rotate else lam), tau[:, None] * Y
+
+
+def _balanced_tridiag_eig(T, sq):
     """Eigenpairs of a zero-diagonal tridiagonal chain, skin-effect safe.
 
     A diagonal similarity equalizes the two entries of every bond, removing
@@ -215,8 +249,10 @@ def _balanced_tridiag_eig(T):
     eigenvectors (the envelope ratio exceeds 1/eps long before L=50 at
     strong non-reciprocity). The balanced matrix is symmetric with pure
     real or pure imaginary couplings, so its eigenvectors are well
-    conditioned; the envelope is multiplied back afterwards. Every bond
-    must be bidirectional, which fails exactly on the exceptional loci.
+    conditioned; the envelope is multiplied back afterwards. Mixed real
+    and imaginary couplings are solved by _split_eig on the products sq.
+    Every bond must be bidirectional, which fails exactly on the
+    exceptional loci.
     """
     n = T.shape[0]
     up = np.diag(T, 1).astype(complex)
@@ -238,10 +274,13 @@ def _balanced_tridiag_eig(T):
         lam, Y = sla.eigh_tridiagonal(np.zeros(n), s.imag)
         lam = 1j * lam
     else:
-        S = np.diag(s, 1) + np.diag(s, -1)
-        lam, Y = np.linalg.eig(S)
+        lam, Y = _split_eig(s, sq)
     X = d[:, None] * Y
-    return lam, X / np.linalg.norm(X, axis=0)
+    X = X / np.linalg.norm(X, axis=0)
+    if not np.all(np.isfinite(X)):
+        raise Overflow("eigenvector norm overflows or underflows; chain "
+                       "too long for this non-reciprocity")
+    return lam, X
 
 
 def obc_eig_via_chains(params):
@@ -251,7 +290,8 @@ def obc_eig_via_chains(params):
     each chain is balanced bond by bond, solved, unbalanced, and mapped
     back to the site basis. Use this instead of eig(build_realspace(...))
     whenever eigenvector quantities (dipr averages) are needed at system
-    sizes where the skin envelope ruins the dense solve. Balanced OBC
+    sizes where the skin envelope ruins the dense solve. The eigenvector
+    condition is not computed (evec_condition is inf). Balanced OBC
     only; raises SingularGauge on exceptional parameters.
     """
     require_balanced(params)
@@ -261,8 +301,9 @@ def obc_eig_via_chains(params):
     if L % 2:
         raise ValueError("chain decomposition needs even L")
     H1, H2 = build_nhssh(params)
-    lam1, X1 = _balanced_tridiag_eig(np.asarray(H1, dtype=complex))
-    lam2, X2 = _balanced_tridiag_eig(np.asarray(H2, dtype=complex))
+    c1, c2 = _chain_offdiag_squares(derive(params), L)
+    lam1, X1 = _balanced_tridiag_eig(H1, c1)
+    lam2, X2 = _balanced_tridiag_eig(H2, c2)
     lam = np.concatenate([lam1, lam2])
     Z = np.zeros((2 * L, 2 * L), dtype=complex)
     Z[:L, :L] = X1
@@ -274,8 +315,7 @@ def obc_eig_via_chains(params):
     H = build_realspace(params)
     residual = float(np.max(np.linalg.norm(H @ V - V * lam, axis=0)))
     return SpectrumResult(eigenvalues=lam, right_eigenvectors=V,
-                          residual_max=residual,
-                          evec_condition=float(np.linalg.cond(V)))
+                          residual_max=residual, evec_condition=math.inf)
 
 
 def _curve_distance_one(E, u, v):

@@ -1,19 +1,31 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nhcreutz
+import nhcreutz.sweep as sweep
 from nhcreutz import (
     OBC,
+    GridSpec,
     IllConditioned,
     ImbalancedParameters,
     ModelParams,
+    SpectrumResult,
     WrongClass,
     build_realspace,
     classify_point,
+    dipr_map,
     dp_spectrum_check,
+    eig,
     is_defective,
     jordan_structure,
     nilpotency_order,
+    obc_eig_via_chains,
 )
+from nhcreutz.degeneracy import _defective_from
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8, **kw):
@@ -23,6 +35,54 @@ def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8, **kw):
 
 def jordan_block(lam, n):
     return lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+
+
+def union_find_clusters(eigs, radius):
+    """Reference partition: union-find over all pairs within radius."""
+    n = len(eigs)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eigs[i] - eigs[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def defective_reference(eigs, vecs, tol):
+    """The defectiveness verdict with one SVD per union-find cluster."""
+    radius = 1e-6 * float(np.abs(eigs).max())
+    total = 0
+    for idx in union_find_clusters(eigs, radius):
+        s = np.linalg.svd(vecs[:, idx], compute_uv=False)
+        total += int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
+    return total < vecs.shape[0]
+
+
+def planted_spectrum(rng, n=60):
+    """Random spectrum with planted clusters: tight groups, and strings
+    whose ends are farther apart than the radius but linked through
+    their inner points."""
+    eigs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    radius = 1e-6 * np.abs(eigs).max()
+    for start in range(0, n - 12, 12):
+        k = rng.integers(2, 6)
+        eigs[start:start + k] = eigs[start] + radius * 0.3 * (
+            rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+        step = 0.9 * radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        eigs[start + 6:start + 10] = eigs[start + 6] + step * np.arange(4)
+    return eigs
 
 
 class TestClassifyPoint:
@@ -219,6 +279,88 @@ class TestDefectiveness:
     def test_synthetic(self):
         assert is_defective(jordan_block(1.0, 3))
         assert not is_defective(np.diag([1.0, 2.0, 3.0]))
+
+    def test_partition_matches_union_find(self, monkeypatch):
+        # with unit vectors e_i, each SVD reveals the indices of its
+        # cluster; singletons must take no SVD
+        svd = np.linalg.svd
+        seen = []
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(sorted(np.flatnonzero(np.abs(a).sum(axis=1))))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = np.random.default_rng(31)
+        spectra = [planted_spectrum(rng) for _ in range(20)]
+        for p in (params(t0=0.7, gbar=0.7, g0=1.0, L=10),  # EFB line
+                  params(t0=0.3, gbar=0.8, g0=0.5, L=8)):   # ELu
+            spectra.append(eig(build_realspace(p)).eigenvalues)
+        n_multi = 0
+        for eigs in spectra:
+            seen.clear()
+            verdict = _defective_from(eigs, np.eye(len(eigs)), 1e-6)
+            radius = 1e-6 * float(np.abs(eigs).max())
+            ref = union_find_clusters(eigs, radius)
+            assert sorted(seen) == sorted(c for c in ref if len(c) > 1)
+            assert verdict is False
+            n_multi += len(seen)
+        assert n_multi >= 60
+
+    def test_verdict_matches_reference_on_ladders(self):
+        rng = np.random.default_rng(37)
+        cases = [eig(build_realspace(p), want_vectors=True) for p in (
+            params(t0=0.7, gbar=0.7, g0=1.0, L=10),   # EFB line
+            params(t0=-1.2, gbar=-1.2, g0=1.0, L=8),  # EFB line
+            params(t0=0.3, gbar=0.8, g0=0.5, L=8),    # ELu
+            params(t0=0.5, gbar=1.0, g0=0.5, L=8),    # triple point
+            params(L=10))]
+        for _ in range(10):
+            t0, gbar, g0 = rng.uniform(-2, 2, 3)
+            p = params(t0=t0, gbar=gbar, g0=g0, L=50)
+            cases.append(obc_eig_via_chains(p))
+            cases.append(eig(build_realspace(p), want_vectors=True))
+        verdicts = set()
+        for res in cases:
+            args = (res.eigenvalues, res.right_eigenvectors, 1e-6)
+            assert _defective_from(*args) is defective_reference(*args)
+            verdicts.add(_defective_from(*args))
+        assert verdicts == {True, False}
+
+    def test_non_finite_vector(self):
+        eigs = np.array([1.0, 2.0, 3.0 + 0.5j], dtype=complex)
+        vecs = np.eye(3, dtype=complex)
+        vecs[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _defective_from(eigs, vecs, 1e-6)
+        vecs[1, 1] = np.inf  # LAPACK returns NaN here: rank 0, no raise
+        assert _defective_from(eigs, vecs, 1e-6) is \
+            defective_reference(eigs, vecs, 1e-6) is True
+
+    def test_sweep_node_with_non_finite_vector(self, monkeypatch):
+        # a mixed-sign Generic node, so the numerical test runs
+        node_eig = sweep._node_eig
+
+        def poisoned(params, label):
+            res = node_eig(params, label)
+            V = res.right_eigenvectors.copy()
+            V[:, 3] = np.nan
+            return SpectrumResult(res.eigenvalues, V, res.residual_max,
+                                  res.evec_condition)
+
+        monkeypatch.setattr(sweep, "_node_eig", poisoned)
+        s = GridSpec(t0_range=(0.49, 0.5, 2), gbar_range=(-0.32, -0.31, 2),
+                     g0=0.6, L=10)
+        assert [r.status for r in dipr_map(s)] == ["LinAlgError"] * 4
+
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        code = ("import sys, nhcreutz.cli; print(any(m.startswith("
+                "'scipy.sparse') for m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(nhcreutz.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "False"
 
 
 class TestNilpotency:

@@ -24,6 +24,40 @@ def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=6,
                                  dt=dt, dg=dg, L=L, boundary=boundary)
 
 
+def loop_realspace(params):
+    """Bond-by-bond reference for build_realspace."""
+    L = params.L
+    t0, t1, t2 = params.t0, params.t1, params.t2
+    g0, g1, g2 = params.g0, params.g1, params.g2
+    H = np.zeros((2 * L, 2 * L), dtype=complex)
+    bonds = [(j, j + 1) for j in range(L - 1)]
+    if params.boundary == PBC:
+        bonds.append((L - 1, 0))
+    for j, jp in bonds:
+        a, b, ap, bp = 2 * j, 2 * j + 1, 2 * jp, 2 * jp + 1
+        H[ap, a] += -1j * (t1 + g1)
+        H[a, ap] += 1j * (t1 - g1)
+        H[bp, b] += 1j * (t2 + g2)
+        H[b, bp] += -1j * (t2 - g2)
+        H[ap, b] += -(t0 + g0)
+        H[bp, a] += -(t0 + g0)
+        H[a, bp] += -(t0 - g0)
+        H[b, ap] += -(t0 - g0)
+    return H
+
+
+def loop_w_basis(L):
+    """Cell-by-cell reference for w_basis."""
+    U = np.zeros((2 * L, 2 * L), dtype=complex)
+    r = 1.0 / math.sqrt(2.0)
+    for j in range(L):
+        U[2 * j, 2 * j] = r
+        U[2 * j, 2 * j + 1] = 1j * r
+        U[2 * j + 1, 2 * j] = r
+        U[2 * j + 1, 2 * j + 1] = -1j * r
+    return U
+
+
 def blockdiag(H1, H2):
     n = H1.shape[0]
     K = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -141,6 +175,22 @@ class TestRealspace:
         assert np.abs(T @ H @ T.T - H).max() < 1e-15
 
 
+    def test_byte_identical_to_loop(self):
+        # signed zeros included: t0 = g0 makes -(t0 - g0) a -0.0 entry
+        rng = np.random.default_rng(3)
+        cases = [ModelParams(t0=0.5, t1=0.7, t2=0.2, g0=0.5, g1=0.0,
+                             g2=-0.6, L=L, boundary=bc)
+                 for L in (2, 3, 4) for bc in (OBC, PBC)]
+        for L in (2, 3, 8, 50):
+            for bc in (OBC, PBC):
+                cases.append(ModelParams(*rng.uniform(-2, 2, 6), L=L,
+                                         boundary=bc))
+        for p in cases:
+            H, ref = build_realspace(p), loop_realspace(p)
+            assert H.dtype == ref.dtype and H.shape == ref.shape
+            assert H.tobytes() == ref.tobytes()
+
+
 class TestBloch:
     def test_pbc_spectrum_matches_bloch(self):
         rng = np.random.default_rng(7)
@@ -166,6 +216,10 @@ class TestChainDecomposition:
     def test_w_basis_unitary(self):
         U = w_basis(5)
         assert np.abs(U @ U.conj().T - np.eye(10)).max() < 1e-15
+
+    def test_w_basis_byte_identical_to_loop(self):
+        for L in (1, 2, 5, 50):
+            assert w_basis(L).tobytes() == loop_w_basis(L).tobytes()
 
     def test_block_diagonalization(self):
         for L, bc in [(6, OBC), (6, PBC), (10, OBC), (2, PBC)]:

@@ -29,7 +29,7 @@ from nhcreutz import (
     pbc_dispersion,
     spectral_density_M,
 )
-from nhcreutz.spectral import (_chain_offdiag_squares,
+from nhcreutz.spectral import (_chain_offdiag_squares, _split_eig,
                                _tridiag_spectrum_from_squares)
 
 
@@ -234,6 +234,37 @@ class TestChainEig:
         assert res.residual_max < 1e-12 * np.abs(res.eigenvalues).max()
         dense = np.linalg.eigvals(build_realspace(p))
         assert multiset_dist(res.eigenvalues, dense) < 1e-8
+
+    @pytest.mark.parametrize("middle", [1.0, -1.0])
+    def test_split_eigenpairs_on_random_mixed_sign_chains(self, middle):
+        # palindromic products, mixed signs, middle product of either sign
+        # (the negative one is split on the rotated chain); the balanced
+        # couplings carry random palindromic signs
+        rng = np.random.default_rng(23 if middle > 0 else 29)
+        for L in range(4, 51, 2):
+            for _ in range(3):
+                m = L // 2
+                half = rng.uniform(0.05, 3.0, m) \
+                    * rng.choice([-1.0, 1.0], m)
+                half[0] = -middle * abs(half[0])
+                half[-1] = middle * abs(half[-1])
+                sq = np.concatenate([half, half[-2::-1]])
+                root = np.where(sq > 0.0, np.sqrt(np.abs(sq)),
+                                1j * np.sqrt(np.abs(sq)))
+                signs = rng.choice([-1.0, 1.0], m)
+                s = root * np.concatenate([signs, signs[-2::-1]])
+                lam, Y = _split_eig(s, sq)
+                S = np.diag(s, 1) + np.diag(s, -1)
+                emax = np.abs(lam).max()
+                resid = np.linalg.norm(S @ Y - Y * lam, axis=0).max()
+                assert resid <= 1e-12 * emax
+                for col in Y.T:
+                    assert np.array_equal(col[::-1], col) \
+                        or np.array_equal(col[::-1], -col)
+                norms = np.linalg.norm(Y, axis=0)
+                assert np.abs(norms - 1.0).max() <= 1e-14
+                E = _tridiag_spectrum_from_squares(sq)
+                assert multiset_dist(lam, E) <= 1e-14 * emax
 
     def test_unit_columns(self):
         res = obc_eig_via_chains(params(L=20))

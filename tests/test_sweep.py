@@ -12,6 +12,7 @@ from nhcreutz import (
     GridRow,
     GridSpec,
     ModelParams,
+    Overflow,
     build_realspace,
     classify,
     classify_point,
@@ -205,6 +206,9 @@ class TestDiprMap:
     @pytest.mark.parametrize("t0, gbar, g0, ref", [
         (0.019, -1.0, 0.019, 0.47696770000815109941),
         (0.8, 0.4, 0.5, 0.0044885113819758139039),
+        # mixed-sign chains (u^2 v^2 < 0)
+        (-1.334, 1.662, -1.371, 0.1436701794046420928525),
+        (1.305, -1.753, -1.628, 0.1517887341768231951028),
     ])
     def test_matches_60_digit_reference(self, t0, gbar, g0, ref):
         # References: each chain of build_nhssh, built from the same
@@ -215,7 +219,9 @@ class TestDiprMap:
         # eigenvector x with P_m = |x_m|^2 / sum |x|^2 has dIPR = (sum of
         # P_m^2 over cells 1..L/2 - sum over cells L/2+1..L) / 2, and
         # <dIPR> is the mean over the 2L eigenvectors of both chains.
-        # Dense eig gives about 0.85 and -4e-4 here.
+        # Dense eig gives about 0.85 and -4e-4 at the first two nodes; a
+        # complex L x L eig of each balanced mixed-sign chain gives 0.1338
+        # and 0.1421 at the last two.
         s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
                      gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=50)
         row = dipr_map(s)[0]
@@ -235,7 +241,7 @@ class TestDiprMap:
         try:
             with np.errstate(all="ignore"):
                 chains = obc_eig_via_chains(p)
-        except np.linalg.LinAlgError:
+        except (Overflow, np.linalg.LinAlgError):
             chain_dipr = None
         else:
             assert chains.residual_max > \
