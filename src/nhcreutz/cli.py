@@ -17,7 +17,7 @@ import numpy as np
 
 from . import svgplot
 from .degeneracy import classify_point, is_defective, jordan_structure
-from .dynamics import initial_state, propagate
+from .dynamics import _row_norms, initial_state, propagate
 from .errors import IllConditioned, NhcreutzError
 from .gauge import gauge_report
 from .model import OBC, PBC, ModelParams, build_realspace
@@ -282,27 +282,40 @@ def _config_dict(ns, sp):
 def _fmt_cell(v):
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    return str(v)
+    return str(v)  # also bool, int and np.integer
 
 
-def _write_table(ns, sp, path, columns, rows):
+def _cells(col, shape, text):
+    """One column's cells as CSV text or JSON values, broadcast to shape and
+    flattened. An array is formatted once per entry before broadcasting; a
+    list (None, bool or str cells) takes _fmt_cell and _json_cell."""
+    if isinstance(col, np.ndarray):
+        vals = col.ravel().tolist()
+        if text:
+            vals = list(map(repr if col.dtype.kind == "f" else str, vals))
+    else:
+        vals = [(_fmt_cell if text else _json_cell)(v) for v in col]
+    cells = np.array(vals, dtype=object).reshape(np.shape(col))
+    return np.broadcast_to(cells, shape).ravel().tolist()
+
+
+def _write_table(ns, sp, path, columns, data):
+    """Write the table given column by column: data holds one array or list
+    per name in columns, and they broadcast together to the table's rows."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in data))
+    text = ns.format != "json"
+    rows = zip(*(_cells(c, shape, text) for c in data))
     cmd = _resolved_command(ns, sp)
-    path = Path(path)
-    if ns.format == "json":
-        data = {"cmd": cmd, "config": _config_dict(ns, sp),
-                "columns": list(columns),
-                "rows": [[_json_cell(v) for v in row] for row in rows]}
-        path.write_text(json.dumps(data, indent=1) + "\n")
-        return
-    lines = [f"# cmd: {cmd}", ",".join(columns)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    if text:
+        out = "\n".join([f"# cmd: {cmd}", ",".join(columns),
+                         *map(",".join, rows)])
+    else:
+        out = json.dumps({"cmd": cmd, "config": _config_dict(ns, sp),
+                          "columns": list(columns),
+                          "rows": [list(r) for r in rows]}, indent=1)
+    Path(path).write_text(out + "\n")
 
 
 def _params(ns, boundary):
@@ -360,19 +373,15 @@ def cmd_spectrum(ns, sp):
     for b, eigs in sets:
         out = path if len(sets) == 1 else \
             path.with_name(f"{path.stem}_{b}{path.suffix}")
-        rows = [(i, e.real, e.imag) for i, e in enumerate(eigs)]
-        _write_table(ns, sp, out, ("index", "re_E", "im_E"), rows)
+        _write_table(ns, sp, out, ("index", "re_E", "im_E"),
+                     (np.arange(len(eigs)), eigs.real, eigs.imag))
     return 0
 
 
 def _heat_grid(rows, spec, field):
     n_t0 = spec.t0_range[2]
-    n_gbar = spec.gbar_range[2]
-    vals = []
-    for iy in range(n_gbar):
-        row = [getattr(rows[iy * n_t0 + ix], field) for ix in range(n_t0)]
-        vals.append(row)
-    return vals
+    return [[getattr(r, field) for r in rows[i:i + n_t0]]
+            for i in range(0, n_t0 * spec.gbar_range[2], n_t0)]
 
 
 def _write_sweep(ns, sp, rows, fields, heat_field, columns=None):
@@ -385,7 +394,7 @@ def _write_sweep(ns, sp, rows, fields, heat_field, columns=None):
                                cmd=_resolved_command(ns, sp))
         Path(ns.output).write_text(text)
         return
-    table = [tuple(getattr(r, f) for f in fields) for r in rows]
+    table = [[getattr(r, f) for r in rows] for f in fields]
     _write_table(ns, sp, ns.output, columns or fields, table)
 
 
@@ -457,25 +466,18 @@ def cmd_classify(ns, sp):
 
 
 def _self_check(H, trace, ns):
-    """Independent reconstruction of the trace; returns max deviation."""
+    """Independent reconstruction of the trace: (max deviation, tolerance)."""
     psi0 = trace.states[:, 0]
     s2 = float(np.linalg.norm(H, 2)) ** 2
     h2 = float(np.linalg.norm(H @ H, "fro"))
     if s2 > 0.0 and h2 <= 1e-10 * s2:  # nilpotent of order <= 2: exact form
-        dev = 0.0
-        for k, t in enumerate(trace.times):
-            expected = psi0 - 1j * t * (H @ psi0)
-            dev = max(dev, float(np.linalg.norm(trace.states[:, k] - expected)
-                                 / np.linalg.norm(expected)))
-        return dev, 1e-10
+        expected = psi0[:, None] - 1j * trace.times * (H @ psi0)[:, None]
+        dev = _row_norms((trace.states - expected).T) / _row_norms(expected.T)
+        return float(dev.max()), 1e-10
     ref = propagate(H, psi0, ns.t_max, 2 * ns.n_steps, method="expm")
-    dev = 0.0
-    for k in range(len(trace.times)):
-        u1 = trace.states[:, k] / trace.norms[k]
-        u2 = ref.states[:, 2 * k] / ref.norms[2 * k]
-        dn = abs(trace.norms[k] - ref.norms[2 * k]) / ref.norms[2 * k]
-        dev = max(dev, float(np.linalg.norm(u1 - u2)) + dn)
-    return dev, 1e-8
+    rn = ref.norms[::2]
+    du = _row_norms((trace.states / trace.norms - ref.states[:, ::2] / rn).T)
+    return float((du + np.abs(trace.norms - rn) / rn).max()), 1e-8
 
 
 def cmd_evolve(ns, sp):
@@ -486,23 +488,18 @@ def cmd_evolve(ns, sp):
     rc = 0
     if ns.self_check:
         dev, tol = _self_check(H, trace, ns)
-        if dev <= tol:
+        if dev <= tol:  # False when any deviation is nan (max keeps it)
             print(f"self-check: ok (max deviation {dev:.3e})")
         else:
             print(f"self-check: FAIL (max deviation {dev:.3e} > {tol:.0e})",
                   file=sys.stderr)
             rc = 3
-    rows = []
-    for k, t in enumerate(trace.times):
-        unit = trace.states[:, k] / trace.norms[k]
-        p2 = np.abs(unit) ** 2
-        for c in range(ns.L):
-            rows.append((float(t), c + 1, float(p2[2 * c]),
-                         float(p2[2 * c + 1]), float(trace.norms[k]),
-                         float(trace.mipr_series[k])))
+    p2 = np.abs(trace.states / trace.norms) ** 2
     _write_table(ns, sp, ns.output,
                  ("t", "cell", "intensity_a", "intensity_b", "norm", "mipr"),
-                 rows)
+                 (trace.times[:, None], np.arange(1, ns.L + 1), p2[0::2].T,
+                  p2[1::2].T, trace.norms[:, None],
+                  trace.mipr_series[:, None]))
     return rc
 
 

@@ -96,6 +96,11 @@ def _trace_arrays(times, units, lognorms, L):
                            _support_rows(units))
 
 
+def _row_norms(x):
+    """2-norm of each row of x, equal to np.linalg.norm bit for bit."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def _step_stack(U, psi0, times):
     """Evolve a stack of unit states psi0 (B, 2L) with their one-step
     propagators U (B, 2L, 2L) over the uniform grid times, one stacked
@@ -113,9 +118,7 @@ def _step_stack(U, psi0, times):
     for k in range(1, len(times)):
         # one mat-vec product per row, equal to U[i] @ phi[i] bit for bit
         phi = (U @ phi[:, :, None])[:, :, 0]
-        # equals np.linalg.norm of each row bit for bit
-        g = np.sqrt(np.vecdot(phi.real, phi.real)
-                    + np.vecdot(phi.imag, phi.imag))
+        g = _row_norms(phi)
         failed = {}
         for i, gi in enumerate(g.tolist()):
             try:

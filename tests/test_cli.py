@@ -1,9 +1,16 @@
 import json
 import shlex
+from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from nhcreutz import cli, dynamics, sweep
 from nhcreutz.cli import main
+from nhcreutz.errors import ConvergenceFailure
+from nhcreutz.model import OBC, PBC, ModelParams, build_realspace
+from nhcreutz.spectral import eig
 
 
 def run(tmp_path, argv):
@@ -244,3 +251,234 @@ class TestEvolveCommand:
                             "20"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+# The per-cell row writer the CLI used before its columnar one, kept as the
+# byte-for-byte reference for every table it writes.
+def loop_fmt_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def loop_json_cell(v):
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return float(v)
+
+
+def loop_table(argv, columns, rows):
+    parser, subs = cli.build_parser()
+    ns = parser.parse_args(cli._merge_dash_values(argv))
+    cli._validate(ns, parser)
+    sp = subs[ns.command]
+    cmd = cli._resolved_command(ns, sp)
+    if ns.format == "json":
+        data = {"cmd": cmd, "config": cli._config_dict(ns, sp),
+                "columns": list(columns),
+                "rows": [[loop_json_cell(v) for v in row] for row in rows]}
+        return json.dumps(data, indent=1) + "\n"
+    lines = [f"# cmd: {cmd}", ",".join(columns)]
+    lines.extend(",".join(loop_fmt_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def loop_trace_rows(trace, L):
+    rows = []
+    for k, t in enumerate(trace.times):
+        unit = trace.states[:, k] / trace.norms[k]
+        p2 = np.abs(unit) ** 2
+        for c in range(L):
+            rows.append((float(t), c + 1, float(p2[2 * c]),
+                         float(p2[2 * c + 1]), float(trace.norms[k]),
+                         float(trace.mipr_series[k])))
+    return rows
+
+
+def loop_self_check(H, trace, ns):
+    """The per-time loops of the self-check before it was vectorized."""
+    psi0 = trace.states[:, 0]
+    s2 = float(np.linalg.norm(H, 2)) ** 2
+    h2 = float(np.linalg.norm(H @ H, "fro"))
+    if s2 > 0.0 and h2 <= 1e-10 * s2:
+        dev = 0.0
+        for k, t in enumerate(trace.times):
+            expected = psi0 - 1j * t * (H @ psi0)
+            dev = max(dev, float(np.linalg.norm(trace.states[:, k] - expected)
+                                 / np.linalg.norm(expected)))
+        return dev, 1e-10
+    ref = dynamics.propagate(H, psi0, ns.t_max, 2 * ns.n_steps,
+                             method="expm")
+    dev = 0.0
+    for k in range(len(trace.times)):
+        u1 = trace.states[:, k] / trace.norms[k]
+        u2 = ref.states[:, 2 * k] / ref.norms[2 * k]
+        dn = abs(trace.norms[k] - ref.norms[2 * k]) / ref.norms[2 * k]
+        dev = max(dev, float(np.linalg.norm(u1 - u2)) + dn)
+    return dev, 1e-8
+
+
+GENERIC_POINT = ["--t0", "0.8", "--gbar", "0.4", "--g0", "0.5"]
+EFB_POINT = ["--t0", "0.4", "--gbar", "0.4", "--g0", "1.0"]  # H^2 = 0
+
+
+def recording(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that keeps each result it returns."""
+    seen = []
+    real = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return seen
+
+
+class TestColumnarWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("boundary", ["obc", "pbc"])
+    @pytest.mark.parametrize("point,method", [(GENERIC_POINT, "eig"),
+                                              (GENERIC_POINT, "expm"),
+                                              (EFB_POINT, "auto")])
+    def test_evolve_byte_identical_to_loop(self, tmp_path, capsys,
+                                           monkeypatch, point, method,
+                                           boundary, fmt):
+        traces = recording(monkeypatch, "propagate")
+        argv = ["evolve", *point, "--L", "8", "--t-max", "3", "--n-steps",
+                "12", "--method", method, "--boundary", boundary,
+                "--format", fmt, "-o", f"trace.{fmt}"]
+        assert run(tmp_path, argv) == 0
+        text = (tmp_path / f"trace.{fmt}").read_text()
+        assert text == loop_table(argv, ("t", "cell", "intensity_a",
+                                         "intensity_b", "norm", "mipr"),
+                                  loop_trace_rows(traces[0], 8))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_both_byte_identical_to_loop(self, tmp_path, capsys,
+                                                  fmt):
+        argv = ["spectrum", *GENERIC_POINT, "--L", "7", "--dt", "0.1",
+                "--boundary", "both", "--format", fmt, "-o", f"s.{fmt}"]
+        assert run(tmp_path, argv) == 0
+        for b in ("pbc", "obc"):
+            H = build_realspace(cli._params(
+                cli.build_parser()[0].parse_args(argv), b))
+            eigs = np.sort_complex(eig(H).eigenvalues)
+            rows = [(i, e.real, e.imag) for i, e in enumerate(eigs)]
+            assert (tmp_path / f"s_{b}.{fmt}").read_text() == loop_table(
+                argv, ("index", "re_E", "im_E"), rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command,sweep_fn,fields,columns", [
+        ("phase", "phase_diagram",
+         ("t0", "gbar", "M_pbc", "M_obc", "class_obc", "degeneracy_label",
+          "status"),
+         ("t0", "gbar", "M_pbc", "M_obc", "class_obc", "degeneracy",
+          "status")),
+        ("dipr", "dipr_map",
+         ("t0", "gbar", "mean_dipr", "defective", "status"), None),
+        ("mipr", "mipr_map",
+         ("t0", "gbar", "mipr_final", "max_support", "status"), None)])
+    def test_sweep_tile_byte_identical_to_loop(self, tmp_path, capsys,
+                                               monkeypatch, command,
+                                               sweep_fn, fields, columns,
+                                               fmt):
+        grids = recording(monkeypatch, sweep_fn)
+        classify_point = sweep.classify_point
+
+        def failing(params):  # one node of the tile fails
+            if (params.t0, params.g1) == (0.5, -0.5):
+                raise ConvergenceFailure("injected")
+            return classify_point(params)
+
+        monkeypatch.setattr(sweep, "classify_point", failing)
+        argv = [command, "--g0", "0.5", "--grid", "4x4", "--range",
+                "-1:1", "--L", "10", "--snap-special", "--format", fmt,
+                "-o", f"tile.{fmt}"]
+        if command == "mipr":
+            argv += ["--t-max", "5", "--n-steps", "10"]
+        assert run(tmp_path, argv) == 0
+        text = (tmp_path / f"tile.{fmt}").read_text()
+        rows = [tuple(getattr(r, f) for f in fields) for r in grids[0]]
+        assert text == loop_table(argv, columns or fields, rows)
+        failed = [r for r in grids[0] if r.status == "ConvergenceFailure"]
+        assert [(r.t0, r.gbar) for r in failed] == [(0.5, -0.5)]
+        empty = [""] * (len(fields) - 3)
+        if fmt == "csv":
+            assert ",".join(["0.5", "-0.5", *empty, "ConvergenceFailure"]) \
+                in text.splitlines()
+        else:
+            assert [0.5, -0.5, *[None] * len(empty), "ConvergenceFailure"] \
+                in json.loads(text)["rows"]
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    @pytest.mark.parametrize("tgg,method", [((0.8, 0.4, 0.5), "eig"),
+                                            ((0.8, 0.4, 0.5), "expm"),
+                                            ((0.3, 1.1, -0.2), "auto"),
+                                            ((0.4, 0.4, 1.0), "auto")])
+    def test_deviation_equals_loop_bit_for_bit(self, tgg, method, boundary):
+        t0, gbar, g0 = tgg
+        H = build_realspace(ModelParams.from_bars(
+            tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=10, boundary=boundary))
+        ns = SimpleNamespace(t_max=6.0, n_steps=30)
+        trace = dynamics.propagate(H, dynamics.initial_state(10), ns.t_max,
+                                   ns.n_steps, method=method)
+        assert cli._self_check(H, trace, ns) == loop_self_check(H, trace, ns)
+
+    def test_nan_deviation_fails(self, tmp_path, capsys, monkeypatch):
+        real = cli.propagate
+        calls = []
+
+        def nan_reference(H, psi0, t_max, n_steps, method="auto"):
+            trace = real(H, psi0, t_max, n_steps, method=method)
+            calls.append(trace)
+            if len(calls) == 2:  # the self-check's own propagation
+                trace.states[:, 6] = np.nan
+            return trace
+
+        monkeypatch.setattr(cli, "propagate", nan_reference)
+        argv = ["evolve", *GENERIC_POINT, "--L", "8", "--t-max", "3",
+                "--n-steps", "6", "--self-check", "-o", "t.csv"]
+        assert run(tmp_path, argv) == 3
+        captured = capsys.readouterr()
+        assert "self-check: FAIL (max deviation nan > 1e-08)" in captured.err
+        assert "ok" not in captured.out
+        # the per-time loop let max(0.0, nan) drop the nan and passed
+        ns = SimpleNamespace(t_max=3.0, n_steps=6)
+        H = build_realspace(ModelParams.from_bars(
+            tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8))
+        monkeypatch.setattr(dynamics, "propagate", lambda *a, **k: calls[1])
+        dev, tol = loop_self_check(H, calls[0], ns)
+        assert dev <= tol
+
+    @pytest.mark.parametrize("point", [GENERIC_POINT, EFB_POINT])
+    def test_perturbed_trace_fails(self, tmp_path, capsys, monkeypatch,
+                                   point):
+        real = cli.propagate
+        calls = []
+
+        def perturbed(H, psi0, t_max, n_steps, method="auto"):
+            trace = real(H, psi0, t_max, n_steps, method=method)
+            calls.append(trace)
+            if len(calls) == 1:  # the trace under check
+                states = trace.states.copy()
+                states[3, 5] += 1e-6 * trace.norms[5]
+                trace = replace(trace, states=states)
+            return trace
+
+        monkeypatch.setattr(cli, "propagate", perturbed)
+        argv = ["evolve", *point, "--L", "8", "--t-max", "3", "--n-steps",
+                "6", "--self-check", "-o", "t.csv"]
+        assert run(tmp_path, argv) == 3
+        assert "self-check: FAIL" in capsys.readouterr().err
+        assert len(calls) == (2 if point is GENERIC_POINT else 1)
