@@ -188,26 +188,27 @@ def _propagate_eig(H, psi0, times, L, res=None):
         raise IllConditioned("eigenvector matrix is numerically singular")
     with np.errstate(divide="ignore"):
         logc = np.log(np.abs(c))
-    units = [psi0]
+    # the expansion at every time t_1..t_T at once: row k is time t_{k+1}
+    t = times[1:, None]
+    logw = logc + E.imag * t
+    shift = logw.max(axis=1)
+    alive = np.isfinite(logw)
+    w = np.zeros(logw.shape, dtype=complex)
+    w[alive] = np.exp((logw - shift[:, None])[alive]) * np.exp(
+        1j * (np.angle(c) - E.real * t)[alive])
+    # one mat-vec product per time, equal to V @ w[k] bit for bit
+    phi = (V @ w[:, :, None])[:, :, 0]
+    g = _row_norms(phi)
+    # math.log per time, as the stepper takes it: np.log need not round alike
     lognorms = [0.0]
-    for k in range(1, len(times)):
-        t = times[k]
-        logw = logc + E.imag * t
-        shift = float(logw.max())
-        w = np.zeros_like(c)
-        alive = np.isfinite(logw)
-        w[alive] = np.exp(logw[alive] - shift) * np.exp(
-            1j * (np.angle(c[alive]) - E.real[alive] * t))
-        phi = V @ w
-        g = float(np.linalg.norm(phi))
-        if g == 0.0:
-            raise ZeroState(f"evolved state vanished at t = {t:.6g}")
-        lognorm = shift + math.log(g)
-        if lognorm > _LOG_NORM_MAX:
-            raise Overflow(
-                f"state norm exceeded 1e300 at t = {t:.6g}", time=float(t))
-        units.append(phi / g)
-        lognorms.append(lognorm)
+    for k, (gk, sk) in enumerate(zip(g.tolist(), shift.tolist()), 1):
+        if gk == 0.0:
+            raise ZeroState(f"evolved state vanished at t = {times[k]:.6g}")
+        lognorms.append(sk + math.log(gk))
+        if lognorms[-1] > _LOG_NORM_MAX:
+            raise Overflow(f"state norm exceeded 1e300 at t = {times[k]:.6g}",
+                           time=float(times[k]))
+    units = np.concatenate([psi0[None], phi / g[:, None]])
     return _trace_arrays(times, units, lognorms, L)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularGauge
-from .model import derive, require_balanced
+from .model import _envelope, derive, require_balanced
 
 # Calibrated once against direct OBC eigenvector localization at the
 # reference point tbar=1, gbar=0.5, t0=g0=0 (where xi_inv = log 3 > 0 and
@@ -55,7 +55,8 @@ def igt_matrix(params, chain=CHAIN_ONE):
     Singular exactly on the exceptional lines (u = 0 or v = 0). The
     transformed chain is Hermitian iff both off-diagonal pair products are
     nonnegative (u^2 >= 0 and v^2 >= 0, the real-spectrum region); outside
-    it the diagonal moduli still carry the localization envelope.
+    it the diagonal moduli still carry the localization envelope. Raises
+    Overflow when the diagonal leaves the floating-point range.
     """
     require_balanced(params)
     if params.L % 2:
@@ -63,22 +64,14 @@ def igt_matrix(params, chain=CHAIN_ONE):
     if chain not in (CHAIN_ONE, CHAIN_TWO):
         raise ValueError("chain must be 1 or 2")
     d = derive(params)
-    u2 = d.g * d.g - d.f * d.f
-    v2 = d.gp * d.gp - d.fp * d.fp
-    if u2 == 0.0 or v2 == 0.0:
+    if d.u2 == 0.0 or d.v2 == 0.0:
         raise SingularGauge("similarity matrix singular: u or v vanishes")
     fa, ga, fb, gb = (d.fp, d.gp, d.f, d.g) if chain == CHAIN_ONE \
         else (d.f, d.g, d.fp, d.gp)
     r_l = cmath.sqrt(complex(fa + ga) / complex(fa - ga))
     r_j = cmath.sqrt(complex(fb + gb) / complex(fb - gb))
-    diag = np.empty(params.L, dtype=complex)
-    j = 1.0 + 0.0j
-    for n in range(params.L // 2):
-        diag[2 * n] = j
-        l = r_l * j
-        diag[2 * n + 1] = l
-        j = r_j * l
-    return SimilarityMatrix(diagonal=diag, chain=chain)
+    return SimilarityMatrix(
+        diagonal=_envelope(np.resize([r_l, r_j], params.L - 1)), chain=chain)
 
 
 def hermitianize(H1, S):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImbalancedParameters
+from .errors import ImbalancedParameters, Overflow
 
 OBC = "obc"
 PBC = "pbc"
@@ -59,9 +59,9 @@ class DerivedParams:
     """Dressed parameters derived from ModelParams.
 
     tbar, gbar are leg means, dt, dg the half differences; g = tbar + t0,
-    gp = tbar - t0, f = gbar + g0, fp = gbar - g0. u, v are the effective
-    hoppings u = sqrt(g^2 - f^2), v = sqrt(gp^2 - fp^2) (principal branch;
-    both are either real or purely imaginary for real input). eta = t0/tbar
+    gp = tbar - t0, f = gbar + g0, fp = gbar - g0. u2 = g^2 - f^2 and
+    v2 = gp^2 - fp^2 are the chain bond products, u and v (the effective
+    hoppings) their principal roots, real or purely imaginary. eta = t0/tbar
     parametrizes the flat-band line (NaN when tbar == 0).
     """
 
@@ -73,6 +73,8 @@ class DerivedParams:
     gp: float
     f: float
     fp: float
+    u2: float
+    v2: float
     u: complex
     v: complex
     eta: float
@@ -88,11 +90,13 @@ def derive(params):
     gp = tbar - params.t0
     f = gbar + params.g0
     fp = gbar - params.g0
-    u = cmath.sqrt(complex(g * g - f * f))
-    v = cmath.sqrt(complex(gp * gp - fp * fp))
+    u2 = g * g - f * f
+    v2 = gp * gp - fp * fp
     eta = params.t0 / tbar if tbar != 0.0 else math.nan
     return DerivedParams(tbar=tbar, gbar=gbar, dt=dt, dg=dg,
-                         g=g, gp=gp, f=f, fp=fp, u=u, v=v, eta=eta)
+                         g=g, gp=gp, f=f, fp=fp, u2=u2, v2=v2,
+                         u=cmath.sqrt(complex(u2)), v=cmath.sqrt(complex(v2)),
+                         eta=eta)
 
 
 def require_balanced(params):
@@ -154,6 +158,37 @@ def w_basis(L):
     return U
 
 
+def _chain_bonds(params):
+    """Bonds of the two NH-SSH chains: per chain (up, lo, sq), the
+    superdiagonal -i(f+g), subdiagonal -i(f-g) and product u^2 or v^2 of
+    each of its L bonds, the closing bond (L -> 1) last. Chain one starts
+    on the primed bond, chain two on the unprimed. Requires balanced legs
+    and even L.
+    """
+    require_balanced(params)
+    if params.L % 2:
+        raise ValueError("chain decomposition needs even L")
+    d = derive(params)
+    primed = (-1j * (d.fp + d.gp), -1j * (d.fp - d.gp), d.v2)
+    plain = (-1j * (d.f + d.g), -1j * (d.f - d.g), d.u2)
+    return tuple(tuple(np.resize(pair, params.L) for pair in zip(a, b))
+                 for a, b in ((primed, plain), (plain, primed)))
+
+
+def _envelope(steps):
+    """Diagonal [1, s_1, s_1 s_2, ...] of the imaginary gauge similarity
+    with per-bond ratios steps (Hatano & Nelson, PRL 77, 570 (1996)).
+
+    Raises Overflow when an entry overflows or underflows to zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.concatenate([[1.0], np.cumprod(steps)])
+    if not (np.all(np.isfinite(d)) and np.all(d)):
+        raise Overflow("balancing envelope overflows or underflows; chain "
+                       "too long for this non-reciprocity")
+    return d
+
+
 def build_nhssh(params):
     """The two decoupled non-Hermitian SSH chains (H1, H2), each L x L.
 
@@ -161,25 +196,18 @@ def build_nhssh(params):
     alternating -i(fp-gp), -i(f-g), ...; H2 swaps primed and unprimed. PBC
     adds the matching corner entries. Requires balanced legs and even L.
     """
-    require_balanced(params)
-    if params.L % 2:
-        raise ValueError("NH-SSH decomposition needs even L")
-    d = derive(params)
-    pairs = ((d.fp, d.gp, d.f, d.g), (d.f, d.g, d.fp, d.gp))
+    L = params.L
+    m = np.arange(L - 1)
     out = []
-    for (fa, ga, fb, gb) in pairs:
-        L = params.L
+    for up, lo, _ in _chain_bonds(params):
         H = np.zeros((L, L), dtype=complex)
-        for m in range(L - 1):
-            fm, gm = (fa, ga) if m % 2 == 0 else (fb, gb)
-            H[m, m + 1] = -1j * (fm + gm)
-            H[m + 1, m] = -1j * (fm - gm)
-        if params.boundary == PBC:
-            # closing bond has the odd-position type (L even)
-            H[L - 1, 0] += -1j * (fb + gb)
-            H[0, L - 1] += -1j * (fb - gb)
+        H[m, m + 1] = up[:-1]
+        H[m + 1, m] = lo[:-1]
+        if params.boundary == PBC:  # += so the L = 2 double bond adds
+            H[L - 1, 0] += up[-1]
+            H[0, L - 1] += lo[-1]
         out.append(H)
-    return out[0], out[1]
+    return tuple(out)
 
 
 def nhssh_permutation(params):

@@ -10,8 +10,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
-from .model import (OBC, ModelParams, build_nhssh, build_realspace, derive,
-                    nhssh_permutation, require_balanced, w_basis)
+from .model import (OBC, ModelParams, _chain_bonds, _envelope,
+                    build_realspace, derive, nhssh_permutation,
+                    require_balanced, w_basis)
 
 REAL = "Real"
 IMAGINARY = "Imaginary"
@@ -137,17 +138,6 @@ def classify(eigs, tol_rel=1e-9, tol_abs=0.0):
     return SpectralClass(label, M)
 
 
-def _chain_offdiag_squares(d, L):
-    """Per-bond off-diagonal products (sup*sub) for the two chains.
-
-    In each chain the product on a bond is u^2 or v^2 (always real); chain
-    one starts with the primed (v-type) bond, chain two with the unprimed.
-    """
-    u2 = d.g * d.g - d.f * d.f
-    v2 = d.gp * d.gp - d.fp * d.fp
-    return np.resize([v2, u2], L - 1), np.resize([u2, v2], L - 1)
-
-
 def _split_halves(sq):
     """The two real L/2 x L/2 halves of a mixed-sign chain with
     off-diagonal products sq, and whether they split the rotated chain.
@@ -208,13 +198,8 @@ def obc_spectrum_via_chains(params):
     sizes where direct diagonalization of skin-effect matrices fails. Open
     boundary by construction regardless of params.boundary. Balanced only.
     """
-    require_balanced(params)
-    if params.L % 2:
-        raise ValueError("chain decomposition needs even L")
-    d = derive(params)
-    c1, c2 = _chain_offdiag_squares(d, params.L)
-    return (_tridiag_spectrum_from_squares(c1),
-            _tridiag_spectrum_from_squares(c2))
+    return tuple(_tridiag_spectrum_from_squares(sq[:-1])
+                 for _, _, sq in _chain_bonds(params))
 
 
 def _split_eig(s, sq):
@@ -241,8 +226,9 @@ def _split_eig(s, sq):
     return (-1j * lam if rotate else lam), tau[:, None] * Y
 
 
-def _balanced_tridiag_eig(T, sq):
-    """Eigenpairs of a zero-diagonal tridiagonal chain, skin-effect safe.
+def _balanced_tridiag_eig(up, lo, sq):
+    """Eigenpairs of the zero-diagonal tridiagonal chain with superdiagonal
+    up, subdiagonal lo and products sq, skin-effect safe.
 
     A diagonal similarity equalizes the two entries of every bond, removing
     the exponential envelope that makes direct diagonalization lose the
@@ -254,18 +240,13 @@ def _balanced_tridiag_eig(T, sq):
     Every bond must be bidirectional, which fails exactly on the
     exceptional loci.
     """
-    n = T.shape[0]
-    up = np.diag(T, 1).astype(complex)
-    lo = np.diag(T, -1).astype(complex)
+    n = len(up) + 1
     if np.any(up == 0.0) or np.any(lo == 0.0):
         raise SingularGauge("chain has a one-directional bond; no balancing "
                             "similarity exists (exceptional parameters)")
     # chain entries are pure imaginary, so lo/up is exactly real and the
     # cumulative envelope stays exactly real or imaginary per site
-    d = np.concatenate([np.ones(1, dtype=complex), np.cumprod(np.sqrt(lo / up))])
-    if not (np.all(np.isfinite(d)) and np.all(d)):
-        raise Overflow("balancing envelope overflows or underflows; chain "
-                       "too long for this non-reciprocity")
+    d = _envelope(np.sqrt(lo / up))
     s = up * d[1:] / d[:-1]
     if np.all(s.imag == 0.0):
         lam, Y = sla.eigh_tridiagonal(np.zeros(n), s.real)
@@ -294,16 +275,12 @@ def obc_eig_via_chains(params):
     condition is not computed (evec_condition is inf). Balanced OBC
     only; raises SingularGauge on exceptional parameters.
     """
-    require_balanced(params)
+    bonds = _chain_bonds(params)
     if params.boundary != OBC:
         raise ValueError("chain eigendecomposition is open-boundary only")
     L = params.L
-    if L % 2:
-        raise ValueError("chain decomposition needs even L")
-    H1, H2 = build_nhssh(params)
-    c1, c2 = _chain_offdiag_squares(derive(params), L)
-    lam1, X1 = _balanced_tridiag_eig(H1, c1)
-    lam2, X2 = _balanced_tridiag_eig(H2, c2)
+    (lam1, X1), (lam2, X2) = [_balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
+                              for up, lo, sq in bonds]
     lam = np.concatenate([lam1, lam2])
     Z = np.zeros((2 * L, 2 * L), dtype=complex)
     Z[:L, :L] = X1

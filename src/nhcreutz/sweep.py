@@ -143,8 +143,7 @@ def _diagonalizable(params, label):
     to an unreduced real or imaginary symmetric tridiagonal, whose
     eigenvalues are distinct, so no numerical test is needed."""
     d = derive(params)
-    return label == GENERIC and \
-        (d.g * d.g - d.f * d.f) * (d.gp * d.gp - d.fp * d.fp) > 0.0
+    return label == GENERIC and d.u2 * d.v2 > 0.0
 
 
 def _node_eig(params, label):

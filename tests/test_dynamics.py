@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nhcreutz.dynamics import _step_stack, _trace_arrays
+from nhcreutz.dynamics import (_LOG_NORM_MAX, _evolution_inputs,
+                               _step_stack, _trace_arrays)
 from nhcreutz import (
     OBC,
     PBC,
@@ -14,6 +15,7 @@ from nhcreutz import (
     ZeroState,
     build_realspace,
     compacton_support,
+    eig,
     initial_state,
     mipr,
     propagate,
@@ -32,6 +34,37 @@ def reference_support(psi, fraction=1e-6):
     p2 = np.abs(psi) ** 2
     cells = p2[0::2] + p2[1::2]
     return int(np.sum(cells > fraction * float(cells.max())))
+
+
+def loop_propagate_eig(H, psi0, t_max, n_steps):
+    """Per-time reference for propagate(..., method="eig"): one expansion,
+    mat-vec product and norm per time."""
+    H, psi0, times = _evolution_inputs(H, psi0, t_max, n_steps, "eig")
+    res = eig(H, want_vectors=True)
+    V, E = res.right_eigenvectors, res.eigenvalues
+    c = np.linalg.solve(V, psi0)
+    with np.errstate(divide="ignore"):
+        logc = np.log(np.abs(c))
+    units, lognorms = [psi0], [0.0]
+    for k in range(1, len(times)):
+        t = times[k]
+        logw = logc + E.imag * t
+        shift = float(logw.max())
+        w = np.zeros_like(c)
+        alive = np.isfinite(logw)
+        w[alive] = np.exp(logw[alive] - shift) * np.exp(
+            1j * (np.angle(c[alive]) - E.real[alive] * t))
+        phi = V @ w
+        g = float(np.linalg.norm(phi))
+        if g == 0.0:
+            raise ZeroState(f"evolved state vanished at t = {t:.6g}")
+        lognorm = shift + math.log(g)
+        if lognorm > _LOG_NORM_MAX:
+            raise Overflow(
+                f"state norm exceeded 1e300 at t = {t:.6g}", time=float(t))
+        units.append(phi / g)
+        lognorms.append(lognorm)
+    return _trace_arrays(times, units, lognorms, H.shape[0] // 2)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=10, boundary=OBC):
@@ -205,6 +238,29 @@ class TestPropagate:
             assert tr.norms[k] == np.exp(lognorm)
             assert np.array_equal(tr.states[:, k], phi * tr.norms[k])
             assert tr.mipr_series[k] == reference_mipr(phi, 10)
+
+    def test_eig_equals_per_time_loop(self):
+        for bc in (OBC, PBC):
+            for t0, gbar, g0 in [(0.3, 0.9, 0.2), (1.2, 0.3, -0.4)]:
+                H = build_realspace(params(t0=t0, gbar=gbar, g0=g0, L=10,
+                                           boundary=bc))
+                psi = initial_state(10, weights=(1.0, 0.5j))
+                tr = propagate(H, psi, 12.0, 60, method="eig")
+                ref = loop_propagate_eig(H, psi, 12.0, 60)
+                for name in ("times", "states", "norms", "mipr_series",
+                             "support_series"):
+                    assert getattr(tr, name).tobytes() == \
+                        getattr(ref, name).tobytes()
+
+    def test_eig_overflow_equals_per_time_loop(self):
+        H = build_realspace(params(t0=0.0, gbar=4.0, g0=0.0, L=10))
+        psi = initial_state(10)
+        with pytest.raises(Overflow) as exc:
+            propagate(H, psi, 400.0, 20, method="eig")
+        with pytest.raises(Overflow) as ref:
+            loop_propagate_eig(H, psi, 400.0, 20)
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.time == ref.value.time
 
     def test_vanishing_norm_drops_only_its_row(self):
         # expm is never singular, so drive the stepper with a zero

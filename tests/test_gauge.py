@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from conftest import multiset_dist
@@ -9,9 +11,11 @@ from nhcreutz import (
     OBC,
     ImbalancedParameters,
     ModelParams,
+    Overflow,
     SingularGauge,
     build_nhssh,
     build_realspace,
+    derive,
     dipr,
     eig,
     gauge_report,
@@ -24,6 +28,23 @@ from nhcreutz import (
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=10, boundary=OBC):
     return ModelParams.from_bars(tbar=tbar, t0=t0, gbar=gbar, g0=g0,
                                  L=L, boundary=boundary)
+
+
+def loop_igt_diagonal(params, chain):
+    """Cell-by-cell reference for the igt_matrix diagonal."""
+    d = derive(params)
+    fa, ga, fb, gb = (d.fp, d.gp, d.f, d.g) if chain == CHAIN_ONE \
+        else (d.f, d.g, d.fp, d.gp)
+    r_l = cmath.sqrt(complex(fa + ga) / complex(fa - ga))
+    r_j = cmath.sqrt(complex(fb + gb) / complex(fb - gb))
+    diag = np.empty(params.L, dtype=complex)
+    j = 1.0 + 0.0j
+    for n in range(params.L // 2):
+        diag[2 * n] = j
+        l = r_l * j
+        diag[2 * n + 1] = l
+        j = r_j * l
+    return diag
 
 
 class TestSimilarity:
@@ -56,6 +77,25 @@ class TestSimilarity:
                                   dt=0.1, L=10)
         with pytest.raises(ImbalancedParameters):
             igt_matrix(p)
+
+    def test_equals_loop(self):
+        # the running product multiplies prev * r where the loop multiplied
+        # r * prev, so only the sign of a zero part may differ
+        for t0, gbar, g0 in [(0.3, 0.2, 0.1), (0.8, 0.4, -0.5),
+                             (-0.8, 0.4, 0.5), (0.0, 2.0, 0.0)]:
+            for L in (2, 10, 40):
+                p = params(t0=t0, gbar=gbar, g0=g0, L=L)
+                for chain in (CHAIN_ONE, CHAIN_TWO):
+                    assert np.array_equal(igt_matrix(p, chain).diagonal,
+                                          loop_igt_diagonal(p, chain))
+
+    def test_overflow_raised(self):
+        # the envelope leaves float range long before L = 1000 here; the
+        # diagonal would hold inf and nan entries
+        p = params(t0=0.3, gbar=0.7, g0=0.5, L=1000)
+        for chain in (CHAIN_ONE, CHAIN_TWO):
+            with pytest.raises(Overflow):
+                igt_matrix(p, chain=chain)
 
 
 class TestGaugeReport:

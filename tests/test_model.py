@@ -58,6 +58,25 @@ def loop_w_basis(L):
     return U
 
 
+def loop_nhssh(params):
+    """Bond-by-bond reference for build_nhssh."""
+    d = derive(params)
+    L = params.L
+    out = []
+    for fa, ga, fb, gb in ((d.fp, d.gp, d.f, d.g), (d.f, d.g, d.fp, d.gp)):
+        H = np.zeros((L, L), dtype=complex)
+        for m in range(L - 1):
+            fm, gm = (fa, ga) if m % 2 == 0 else (fb, gb)
+            H[m, m + 1] = -1j * (fm + gm)
+            H[m + 1, m] = -1j * (fm - gm)
+        if params.boundary == PBC:
+            # closing bond has the odd-position type (L even)
+            H[L - 1, 0] += -1j * (fb + gb)
+            H[0, L - 1] += -1j * (fb - gb)
+        out.append(H)
+    return out
+
+
 def blockdiag(H1, H2):
     n = H1.shape[0]
     K = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -230,6 +249,24 @@ class TestChainDecomposition:
             B = Hw[np.ix_(perm, perm)]
             K = blockdiag(*build_nhssh(p))
             assert np.abs(B - K).max() < 1e-12
+
+    def test_nhssh_byte_identical_to_loop(self):
+        # (t0, gbar, g0) with (u^2, v^2) signs (+, +), (+, -), (-, +),
+        # (-, -), and one on the ELu line (u^2 = 0, a zero bond entry)
+        points = [(0.3, 0.2, 0.1), (0.8, 0.4, -0.5), (-0.8, 0.4, 0.5),
+                  (0.0, 2.0, 0.0), (0.3, 0.8, 0.5)]
+        signs = set()
+        for t0, gbar, g0 in points:
+            for L in (2, 4, 10):
+                for bc in (OBC, PBC):
+                    p = params(t0=t0, gbar=gbar, g0=g0, L=L, boundary=bc)
+                    d = derive(p)
+                    signs.add((np.sign(d.u2), np.sign(d.v2)))
+                    chains, refs = build_nhssh(p), loop_nhssh(p)
+                    assert len(chains) == len(refs) == 2
+                    for H, ref in zip(chains, refs):
+                        assert H.tobytes() == ref.tobytes()
+        assert {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1)} <= signs
 
     def test_permutation_is_a_permutation(self):
         perm = nhssh_permutation(params(L=8))

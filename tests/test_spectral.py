@@ -29,8 +29,8 @@ from nhcreutz import (
     pbc_dispersion,
     spectral_density_M,
 )
-from nhcreutz.spectral import (_chain_offdiag_squares, _split_eig,
-                               _tridiag_spectrum_from_squares)
+from nhcreutz.model import _chain_bonds
+from nhcreutz.spectral import _split_eig, _tridiag_spectrum_from_squares
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -194,7 +194,7 @@ class TestChainSplit:
         # a Complex node of the L = 50 phase map where the dense complex
         # solve misses M_obc by 2e-10
         p = params(t0=-0.4831333333333334, gbar=-1.753, g0=-0.901, L=50)
-        c1, c2 = _chain_offdiag_squares(derive(p), p.L)
+        c1, c2 = [sq[:-1] for _, _, sq in _chain_bonds(p)]
         ref = np.concatenate([charpoly_chain_spectrum(c1),
                               charpoly_chain_spectrum(c2)])
         E = np.concatenate(obc_spectrum_via_chains(p))
