@@ -198,6 +198,7 @@ def _propagate_eig(H, psi0, times, L, res=None):
         1j * (np.angle(c) - E.real * t)[alive])
     # one mat-vec product per time, equal to V @ w[k] bit for bit
     phi = (V @ w[:, :, None])[:, :, 0]
+    del logw, alive, w  # free before the trace is built
     g = _row_norms(phi)
     # math.log per time, as the stepper takes it: np.log need not round alike
     lognorms = [0.0]
@@ -208,7 +209,10 @@ def _propagate_eig(H, psi0, times, L, res=None):
         if lognorms[-1] > _LOG_NORM_MAX:
             raise Overflow(f"state norm exceeded 1e300 at t = {times[k]:.6g}",
                            time=float(times[k]))
-    units = np.concatenate([psi0[None], phi / g[:, None]])
+    units = np.empty((len(times), len(psi0)), dtype=complex)
+    units[0] = psi0
+    np.divide(phi, g[:, None], out=units[1:])
+    del phi
     return _trace_arrays(times, units, lognorms, L)
 
 

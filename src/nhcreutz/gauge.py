@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularGauge
-from .model import _envelope, derive, require_balanced
+from .model import _envelope, _require_chains, derive, require_balanced
 
 # Calibrated once against direct OBC eigenvector localization at the
 # reference point tbar=1, gbar=0.5, t0=g0=0 (where xi_inv = log 3 > 0 and
@@ -58,9 +58,7 @@ def igt_matrix(params, chain=CHAIN_ONE):
     it the diagonal moduli still carry the localization envelope. Raises
     Overflow when the diagonal leaves the floating-point range.
     """
-    require_balanced(params)
-    if params.L % 2:
-        raise ValueError("gauge transformation needs even L")
+    _require_chains(params)
     if chain not in (CHAIN_ONE, CHAIN_TWO):
         raise ValueError("chain must be 1 or 2")
     d = derive(params)

@@ -56,3 +56,19 @@ def mean_dipr(spectrum_result, L):
     # the same pairwise order as dipr sums one vector
     lipr, ripr = _ipr_halves(np.ascontiguousarray(vecs.T, dtype=complex), L)
     return float(np.mean(lipr - ripr))
+
+
+def _mean_dipr_chains(blocks):
+    """mean_dipr of the balanced OBC ladder straight from the eigenvectors
+    of its two NH-SSH chains (the columns of the two L x L blocks).
+
+    Chain site n = 0..L-1 is one w-orbital of cell L - n, and both ladder
+    sites of that cell carry half its intensity. So a chain vector with
+    p_n = |x_n|^2 / sum |x|^2 has dipr = (sum of p_n^2 over n >= L/2, the
+    cells 1..L/2, - sum over n < L/2) / 2, and the mean runs over all 2L
+    vectors. No ladder-sized matrix is formed.
+    """
+    rows = np.concatenate(blocks, axis=1).T
+    # halves of a chain row at L/2: sites n < L/2 are the right cells
+    right, left = _ipr_halves(rows, rows.shape[1] // 2)
+    return float(np.mean(left - right) / 2.0)

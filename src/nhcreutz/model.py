@@ -158,6 +158,14 @@ def w_basis(L):
     return U
 
 
+def _require_chains(params):
+    """Raise unless params split into the two NH-SSH chains: balanced legs
+    (ImbalancedParameters, checked first) and even L (ValueError)."""
+    require_balanced(params)
+    if params.L % 2:
+        raise ValueError("chain decomposition needs even L")
+
+
 def _chain_bonds(params):
     """Bonds of the two NH-SSH chains: per chain (up, lo, sq), the
     superdiagonal -i(f+g), subdiagonal -i(f-g) and product u^2 or v^2 of
@@ -165,9 +173,7 @@ def _chain_bonds(params):
     on the primed bond, chain two on the unprimed. Requires balanced legs
     and even L.
     """
-    require_balanced(params)
-    if params.L % 2:
-        raise ValueError("chain decomposition needs even L")
+    _require_chains(params)
     d = derive(params)
     primed = (-1j * (d.fp + d.gp), -1j * (d.fp - d.gp), d.v2)
     plain = (-1j * (d.f + d.g), -1j * (d.f - d.g), d.u2)
@@ -219,9 +225,7 @@ def nhssh_permutation(params):
     chain one starts at wbar_L, chain two at w_L (w_j has index 2(j-1),
     wbar_j index 2(j-1) + 1). The permutation is boundary independent.
     """
-    require_balanced(params)
-    if params.L % 2:
-        raise ValueError("NH-SSH decomposition needs even L")
+    _require_chains(params)
     cell = np.arange(params.L - 1, -1, -1)
     odd = cell % 2 == 1  # L even: chain position L - cell is odd
     return np.concatenate([2 * cell + odd, 2 * cell + ~odd])

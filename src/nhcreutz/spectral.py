@@ -264,29 +264,57 @@ def _balanced_tridiag_eig(up, lo, sq):
     return lam, X
 
 
+def _tridiag_residual(up, lo, lam, X):
+    """max_n ||T x_n - lam_n x_n||_2 over the columns of X, T the
+    zero-diagonal tridiagonal with superdiagonal up and subdiagonal lo."""
+    R = -X * lam
+    R[:-1] += up[:, None] * X[1:]
+    R[1:] += lo[:, None] * X[:-1]
+    return float(np.linalg.norm(R, axis=0).max())
+
+
+def _obc_chain_eigs(params):
+    """Per OBC chain (lam, X, residual): the eigenpairs of
+    _balanced_tridiag_eig, unit columns, and their largest residual
+    ||T x - lam x|| on the chain itself. Balanced OBC only."""
+    bonds = _chain_bonds(params)
+    if params.boundary != OBC:
+        raise ValueError("chain eigendecomposition is open-boundary only")
+    out = []
+    for up, lo, sq in bonds:
+        lam, X = _balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
+        out.append((lam, X, _tridiag_residual(up[:-1], lo[:-1], lam, X)))
+    return tuple(out)
+
+
+def _block_diagonal(X1, X2):
+    """The 2L x 2L block-diagonal matrix of the two chains' L x L
+    eigenvector sets."""
+    L = len(X1)
+    Z = np.zeros((2 * L, 2 * L), dtype=complex)
+    Z[:L, :L] = X1
+    Z[L:, L:] = X2
+    return Z
+
+
 def obc_eig_via_chains(params):
     """Eigenpairs of the balanced OBC ladder through the decoupled chains.
 
     Same decoupling as obc_spectrum_via_chains but keeping eigenvectors:
     each chain is balanced bond by bond, solved, unbalanced, and mapped
     back to the site basis. Use this instead of eig(build_realspace(...))
-    whenever eigenvector quantities (dipr averages) are needed at system
-    sizes where the skin envelope ruins the dense solve. The eigenvector
+    whenever ladder eigenvectors are needed at system sizes where the skin
+    envelope ruins the dense solve; residual_max is taken on the dense
+    ladder. dipr_map needs no ladder vectors: it works on the chain
+    eigenpairs underneath (_obc_chain_eigs) directly. The eigenvector
     condition is not computed (evec_condition is inf). Balanced OBC
     only; raises SingularGauge on exceptional parameters.
     """
-    bonds = _chain_bonds(params)
-    if params.boundary != OBC:
-        raise ValueError("chain eigendecomposition is open-boundary only")
+    (lam1, X1, _), (lam2, X2, _) = _obc_chain_eigs(params)
     L = params.L
-    (lam1, X1), (lam2, X2) = [_balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
-                              for up, lo, sq in bonds]
     lam = np.concatenate([lam1, lam2])
-    Z = np.zeros((2 * L, 2 * L), dtype=complex)
-    Z[:L, :L] = X1
-    Z[L:, L:] = X2
-    M = np.empty_like(Z)
-    M[nhssh_permutation(params), :] = Z
+    M = np.empty((2 * L, 2 * L), dtype=complex)
+    M[nhssh_permutation(params), :] = _block_diagonal(X1, X2)
     V = w_basis(L).conj().T @ M
     V = V / np.linalg.norm(V, axis=0)
     H = build_realspace(params)

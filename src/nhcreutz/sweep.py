@@ -12,9 +12,9 @@ from .degeneracy import GENERIC, _defective_from, classify_point
 from .dynamics import (_evolution_inputs, _final_mipr_and_support,
                        _step_propagator, initial_state)
 from .errors import Overflow
-from .localization import mean_dipr
+from .localization import _mean_dipr_chains, mean_dipr
 from .model import OBC, PBC, ModelParams, build_realspace, derive
-from .spectral import (classify, eig, obc_eig_via_chains,
+from .spectral import (_block_diagonal, _obc_chain_eigs, classify, eig,
                        obc_spectrum_via_chains, pbc_dispersion)
 
 CHAIN_RESIDUAL_GATE = 1e-10
@@ -146,24 +146,46 @@ def _diagonalizable(params, label):
     return label == GENERIC and d.u2 * d.v2 > 0.0
 
 
-def _node_eig(params, label):
-    """OBC eigenpairs: from the balanced chains at Generic nodes where the
-    chain solve succeeds with residual <= CHAIN_RESIDUAL_GATE max|E|, from
-    dense eig on the loci (no balancing exists) and next to them."""
-    if label == GENERIC:
-        with contextlib.suppress(Overflow, np.linalg.LinAlgError), \
-                np.errstate(all="ignore"):
-            res = obc_eig_via_chains(params)
-            if res.residual_max <= \
-                    CHAIN_RESIDUAL_GATE * np.abs(res.eigenvalues).max():
-                return res
-    return eig(build_realspace(params), want_vectors=True)
+def _chain_route(params):
+    """Eigenvalues and the two chain eigenvector sets of a Generic node,
+    or None when the chain solve fails or misses CHAIN_RESIDUAL_GATE
+    max|E|. The chain residual is the ladder one up to rounding, since the
+    ladder vectors are W^+ P Z (W the unitary w basis, P a permutation,
+    Z the block-diagonal chain vectors)."""
+    with contextlib.suppress(Overflow, np.linalg.LinAlgError), \
+            np.errstate(all="ignore"):
+        (lam1, X1, r1), (lam2, X2, r2) = _obc_chain_eigs(params)
+        lam = np.concatenate([lam1, lam2])
+        gate = CHAIN_RESIDUAL_GATE * np.abs(lam).max()
+        if r1 <= gate and r2 <= gate:
+            return lam, (X1, X2)
+    return None
+
+
+def _dipr_node(params, label):
+    """(mean dIPR, defective) of one OBC node, from the eigenpairs of
+    _chain_route where it gives them, else from dense eig. defective is
+    False where the chain structure proves the node diagonalizable, else
+    the numerical test, run on Z on the chain route: Z has the singular
+    values of the ladder vectors W^+ P Z."""
+    diagonalizable = _diagonalizable(params, label)
+    chains = _chain_route(params) if label == GENERIC else None
+    if chains is None:
+        res = eig(build_realspace(params), want_vectors=True)
+        return mean_dipr(res, params.L), not diagonalizable and \
+            _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
+    lam, blocks = chains
+    return _mean_dipr_chains(blocks), not diagonalizable and \
+        _defective_from(lam, _block_diagonal(*blocks), 1e-6)
 
 
 def dipr_map(spec):
-    """Eigenstate-averaged half-chain IPR difference (eigenpairs from
-    _node_eig) and a defectiveness flag, False where the chain structure
-    proves the node diagonalizable; node by node, failures stay there."""
+    """Eigenstate-averaged half-chain IPR difference and a defectiveness
+    flag per node (_dipr_node). At Generic nodes the average comes
+    straight from the eigenvectors of the two balanced chains
+    (_mean_dipr_chains), with no ladder Hamiltonian or ladder vectors; on
+    the loci and next to them from dense eig. Node by node, failures stay
+    there."""
     t0_vals, gbar_vals = grid_axes(spec)
     out = []
     for gbar in gbar_vals:
@@ -171,11 +193,8 @@ def dipr_map(spec):
             try:
                 params = _node_params(spec, t0, gbar, OBC)
                 label = classify_point(params).label
-                res = _node_eig(params, label)
-                dfc = not _diagonalizable(params, label) and _defective_from(
-                    res.eigenvalues, res.right_eigenvectors, 1e-6)
-                out.append(GridRow(t0=t0, gbar=gbar,
-                                   mean_dipr=mean_dipr(res, spec.L),
+                value, dfc = _dipr_node(params, label)
+                out.append(GridRow(t0=t0, gbar=gbar, mean_dipr=value,
                                    defective=dfc, degeneracy_label=label,
                                    status=_status_flag(label)))
             except Exception as exc:  # row-level marker, never abort the grid

@@ -13,7 +13,6 @@ from nhcreutz import (
     IllConditioned,
     ImbalancedParameters,
     ModelParams,
-    SpectrumResult,
     WrongClass,
     build_realspace,
     classify_point,
@@ -338,17 +337,17 @@ class TestDefectiveness:
             defective_reference(eigs, vecs, 1e-6) is True
 
     def test_sweep_node_with_non_finite_vector(self, monkeypatch):
-        # a mixed-sign Generic node, so the numerical test runs
-        node_eig = sweep._node_eig
+        # a mixed-sign Generic node, so the numerical test runs; the
+        # vector is poisoned after the residual gate
+        chain_route = sweep._chain_route
 
-        def poisoned(params, label):
-            res = node_eig(params, label)
-            V = res.right_eigenvectors.copy()
-            V[:, 3] = np.nan
-            return SpectrumResult(res.eigenvalues, V, res.residual_max,
-                                  res.evec_condition)
+        def poisoned(params):
+            lam, (X1, X2) = chain_route(params)
+            X1 = X1.copy()
+            X1[:, 3] = np.nan
+            return lam, (X1, X2)
 
-        monkeypatch.setattr(sweep, "_node_eig", poisoned)
+        monkeypatch.setattr(sweep, "_chain_route", poisoned)
         s = GridSpec(t0_range=(0.49, 0.5, 2), gbar_range=(-0.32, -0.31, 2),
                      g0=0.6, L=10)
         assert [r.status for r in dipr_map(s)] == ["LinAlgError"] * 4

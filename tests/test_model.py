@@ -13,7 +13,10 @@ from nhcreutz import (
     build_nhssh,
     build_realspace,
     derive,
+    igt_matrix,
     nhssh_permutation,
+    obc_eig_via_chains,
+    obc_spectrum_via_chains,
     w_basis,
 )
 
@@ -281,6 +284,19 @@ class TestChainDecomposition:
     def test_odd_L_rejected(self):
         with pytest.raises(ValueError):
             build_nhssh(params(L=5))
+
+    @pytest.mark.parametrize("split", [
+        build_nhssh, nhssh_permutation, igt_matrix,
+        pytest.param(lambda p: igt_matrix(p, chain=2), id="igt_matrix_2"),
+        obc_spectrum_via_chains, obc_eig_via_chains])
+    def test_one_chain_check(self, split):
+        # every entry point into the chain split runs the same checks:
+        # the balanced legs first, then even L, with one message
+        with pytest.raises(ImbalancedParameters):
+            split(params(dt=0.1, L=5))
+        with pytest.raises(ValueError,
+                           match="^chain decomposition needs even L$"):
+            split(params(L=5))
 
     def test_chain_entries(self):
         p = params(tbar=1.0, t0=0.3, gbar=0.2, g0=0.1, L=4)

@@ -5,6 +5,8 @@ import pytest
 
 import nhcreutz.sweep as sweep
 from nhcreutz.degeneracy import GENERIC
+from nhcreutz.localization import _mean_dipr_chains
+from nhcreutz.spectral import _obc_chain_eigs
 from nhcreutz import (
     OBC,
     PBC,
@@ -16,6 +18,7 @@ from nhcreutz import (
     build_realspace,
     classify,
     classify_point,
+    derive,
     dipr_map,
     eig,
     grid_axes,
@@ -175,14 +178,25 @@ def resolvable(p):
     return np.min(np.abs(np.diff(z))) > 1e-10 * np.max(np.abs(z))
 
 
+# Generic nodes (g0 = 0.5) next to an exceptional line
+NEAR_EXCEPTIONAL = [
+    # residual 1.80 against max|E| 1.9: the chain vectors are lost
+    (-0.05665856467284369, 1.557951337396001, 50),
+    # 2e-12 off the exceptional line g = f: the chain solve fails
+    (0.3, 0.7999999999980001, 60),
+]
+
+
 class TestDiprMap:
     def test_values_match_direct(self):
-        # each row equals the route dipr_map documents (balanced chains at
-        # Generic nodes, dense eig on the loci), and dense eig wherever
-        # the ladder spectrum is resolvable. At (0, 0) both chains carry
-        # the same products, so every eigenvalue is shared: the dense
-        # average there depends on the eigenbasis LAPACK returns (-0.0058),
-        # while the exact value is 0 and the chain route gives 0 to 2e-17.
+        # each row equals the route dipr_map documents (the direct formula
+        # on the chain eigenvectors at Generic nodes, dense eig on the
+        # loci), the ladder vectors of obc_eig_via_chains to rounding, and
+        # dense eig wherever the ladder spectrum is resolvable. At (0, 0)
+        # both chains carry the same products, so every eigenvalue is
+        # shared: the dense average there depends on the eigenbasis LAPACK
+        # returns (-0.0058), while the exact value is 0 and the chain route
+        # gives 0 to 2e-17.
         s = spec(n=3, L=10)
         rows = dipr_map(s)
         n_resolvable = 0
@@ -191,7 +205,10 @@ class TestDiprMap:
                                       g0=0.5, L=10)
             dense = mean_dipr(eig(build_realspace(p), want_vectors=True), 10)
             if r.degeneracy_label == GENERIC:
-                assert r.mean_dipr == mean_dipr(obc_eig_via_chains(p), 10)
+                _, blocks = sweep._chain_route(p)
+                assert r.mean_dipr == _mean_dipr_chains(blocks)
+                assert r.mean_dipr == pytest.approx(
+                    mean_dipr(obc_eig_via_chains(p), 10), abs=1e-14)
             else:
                 assert r.mean_dipr == dense
             if resolvable(p):
@@ -228,12 +245,7 @@ class TestDiprMap:
         assert (row.t0, row.gbar, row.status) == (t0, gbar, "ok")
         assert abs(row.mean_dipr - ref) <= 1e-10
 
-    @pytest.mark.parametrize("t0, gbar, L", [
-        # residual 1.80 against max|E| 1.9: the chain vectors are lost
-        (-0.05665856467284369, 1.557951337396001, 50),
-        # 2e-12 off the exceptional line g = f: the chain solve fails
-        (0.3, 0.7999999999980001, 60),
-    ])
+    @pytest.mark.parametrize("t0, gbar, L", NEAR_EXCEPTIONAL)
     def test_near_exceptional_node_falls_back_to_dense(self, t0, gbar, L):
         # Generic nodes close to an exceptional line take dense eig, and
         # never write a chain average that fails the residual gate
@@ -286,6 +298,65 @@ class TestDiprMap:
                 same_sign.append((r.t0, r.gbar))
                 assert r.defective is False
         assert (0.3, -2.0) in same_sign
+
+
+def ladder_gate(p):
+    """The residual gate as taken on the ladder vectors of
+    obc_eig_via_chains: True when they pass it."""
+    try:
+        with np.errstate(all="ignore"):
+            res = obc_eig_via_chains(p)
+    except (Overflow, np.linalg.LinAlgError):
+        return False
+    return bool(res.residual_max <= sweep.CHAIN_RESIDUAL_GATE
+                * np.abs(res.eigenvalues).max())
+
+
+def random_generic_nodes(L, n, seed):
+    """n random Generic nodes at size L whose chain solve succeeds, as
+    (params, u^2 v^2 > 0)."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    while len(nodes) < n:
+        t0, gbar, g0 = rng.uniform(-2.0, 2.0, 3)
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
+        if classify_point(p).label != GENERIC:
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                _obc_chain_eigs(p)
+        except Overflow:
+            continue
+        d = derive(p)
+        nodes.append((p, d.u2 * d.v2 > 0.0))
+    return nodes
+
+
+class TestChainRoute:
+    """The dIPR map's chain route (sweep._chain_route and the direct
+    formula) against the ladder vectors of obc_eig_via_chains."""
+
+    @pytest.mark.parametrize("L, seed", [(10, 1), (50, 2)])
+    def test_direct_formula_and_residual_match_ladder(self, L, seed):
+        nodes = random_generic_nodes(L, 40, seed)
+        same_sign = sum(same for _, same in nodes)
+        assert 5 <= same_sign <= 35  # both sign cases are covered
+        for p, _ in nodes:
+            with np.errstate(all="ignore"):
+                chains = _obc_chain_eigs(p)
+                ladder = obc_eig_via_chains(p)
+            scale = np.abs(ladder.eigenvalues).max()
+            assert abs(max(r for _, _, r in chains) - ladder.residual_max) \
+                <= 1e-12 * scale
+            direct = _mean_dipr_chains([X for _, X, _ in chains])
+            assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
+            assert (sweep._chain_route(p) is not None) == ladder_gate(p)
+
+    @pytest.mark.parametrize("t0, gbar, L", NEAR_EXCEPTIONAL)
+    def test_gate_unchanged_near_exceptional_lines(self, t0, gbar, L):
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
+        assert sweep._chain_route(p) is None
+        assert not ladder_gate(p)
 
 
 class TestMiprMap:
