@@ -7,6 +7,7 @@ byte-identically.
 """
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -507,13 +508,19 @@ _DISPATCH = {"spectrum": cmd_spectrum, "phase": cmd_phase, "dipr": cmd_dipr,
              "mipr": cmd_mipr, "classify": cmd_classify, "evolve": cmd_evolve}
 
 
+# parsing leaves a parser as it was, so one serves every call of main
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     argv = _merge_dash_values(argv)
-    parser, subs = build_parser()
+    parser, subs = _shared_parser()
     try:
         ns = parser.parse_args(argv)
         if ns.command and ns.config:
+            # config values become defaults: set them on a parser of its own
+            parser, subs = build_parser()
             subs[ns.command].set_defaults(
                 **_config_defaults(ns.config, subs[ns.command], parser))
             ns = parser.parse_args(argv)

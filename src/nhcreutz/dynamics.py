@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned, OutOfRange, Overflow, ZeroState
 from .spectral import eig
@@ -142,7 +141,12 @@ def _step_stack(U, psi0, times):
 
 
 def _step_propagator(H, times):
-    """exp(-i dt H) for the spacing dt of the uniform grid times."""
+    """exp(-i dt H) for the spacing dt of the uniform grid times.
+
+    scipy.linalg is imported here, its only use, so the commands that
+    never step a state do not load it."""
+    import scipy.linalg
+
     dt = times[1] - times[0]
     return scipy.linalg.expm(-1j * dt * H)
 

@@ -177,8 +177,15 @@ def _chain_bonds(params):
     d = derive(params)
     primed = (-1j * (d.fp + d.gp), -1j * (d.fp - d.gp), d.v2)
     plain = (-1j * (d.f + d.g), -1j * (d.f - d.g), d.u2)
-    return tuple(tuple(np.resize(pair, params.L) for pair in zip(a, b))
-                 for a, b in ((primed, plain), (plain, primed)))
+    out = []
+    for a, b in ((primed, plain), (plain, primed)):
+        up, lo = np.empty((2, params.L), dtype=complex)
+        sq = np.empty(params.L)
+        for bond, first, second in zip((up, lo, sq), a, b):
+            bond[0::2] = first
+            bond[1::2] = second
+        out.append((up, lo, sq))
+    return tuple(out)
 
 
 def _envelope(steps):

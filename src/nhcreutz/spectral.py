@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
 from .model import (OBC, ModelParams, _chain_bonds, _envelope,
@@ -166,19 +165,49 @@ def _split_halves(sq):
     return halves, rotate
 
 
+def _golub_kahan(c, vectors=False):
+    """Eigenvalues, ascending, of the zero-diagonal real symmetric
+    tridiagonal T of even order with couplings c; with vectors=True also
+    its orthonormal eigenvectors as columns.
+
+    With the even sites first, T = [[0, B^T], [B, 0]] with B the upper
+    bidiagonal of diagonal c[0::2] and superdiagonal c[1::2] (Golub &
+    Kahan, SIAM J. Numer. Anal. 2, 205 (1965)). If B = P diag(sigma) Q^T,
+    T has eigenvalues +-sigma_k and eigenvectors [q_k; +-p_k]/sqrt(2), q_k
+    on the even sites. LAPACK takes an upper bidiagonal B as it is into
+    its bidiagonal SVD, whose singular values have high relative accuracy
+    (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)), so edge
+    modes far below eps ||T|| come out right; B^T would be reduced first
+    and lose them.
+    """
+    B = np.diag(c[0::2]) + np.diag(c[1::2], 1)
+    if not vectors:
+        sigma = np.linalg.svd(B, compute_uv=False)
+    else:
+        P, sigma, Qt = np.linalg.svd(B)
+    # 0.0 - sigma keeps exact zeros +0.0
+    lam = np.concatenate([0.0 - sigma, sigma[::-1]])
+    if not vectors:
+        return lam
+    Q = Qt.T
+    Y = np.empty((len(c) + 1, len(c) + 1))
+    Y[0::2] = np.hstack([Q, Q[:, ::-1]])
+    Y[1::2] = np.hstack([-P, P[:, ::-1]])
+    return lam, Y / math.sqrt(2.0)
+
+
 def _tridiag_spectrum_from_squares(sq):
     """Eigenvalues of the zero-diagonal tridiagonal with off-diagonal
     products sq (spectra depend only on those products).
 
-    Same-sign products give a real or imaginary symmetric tridiagonal.
-    Mixed signs go through _split_halves: one real solve of the
-    (2, L/2, L/2) stack replaces a complex L x L one.
+    Same-sign products give a real or imaginary symmetric tridiagonal,
+    solved by _golub_kahan. Mixed signs go through _split_halves: one
+    real solve of the (2, L/2, L/2) stack replaces a complex L x L one.
     """
-    L = len(sq) + 1
     if np.all(sq >= 0.0):
-        return sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(sq)).astype(complex)
+        return _golub_kahan(np.sqrt(sq)).astype(complex)
     if np.all(sq <= 0.0):
-        return 1j * sla.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(-sq))
+        return 1j * _golub_kahan(np.sqrt(-sq))
     halves, rotate = _split_halves(sq)
     try:
         E = np.linalg.eigvals(halves).ravel().astype(complex)
@@ -240,7 +269,6 @@ def _balanced_tridiag_eig(up, lo, sq):
     Every bond must be bidirectional, which fails exactly on the
     exceptional loci.
     """
-    n = len(up) + 1
     if np.any(up == 0.0) or np.any(lo == 0.0):
         raise SingularGauge("chain has a one-directional bond; no balancing "
                             "similarity exists (exceptional parameters)")
@@ -249,10 +277,10 @@ def _balanced_tridiag_eig(up, lo, sq):
     d = _envelope(np.sqrt(lo / up))
     s = up * d[1:] / d[:-1]
     if np.all(s.imag == 0.0):
-        lam, Y = sla.eigh_tridiagonal(np.zeros(n), s.real)
+        lam, Y = _golub_kahan(s.real, vectors=True)
         lam = lam.astype(complex)
     elif np.all(s.real == 0.0):
-        lam, Y = sla.eigh_tridiagonal(np.zeros(n), s.imag)
+        lam, Y = _golub_kahan(s.imag, vectors=True)
         lam = 1j * lam
     else:
         lam, Y = _split_eig(s, sq)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,7 +17,6 @@ from nhcreutz.spectral import eig
 
 
 def run(tmp_path, argv):
-    import os
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -482,3 +484,86 @@ class TestSelfCheck:
         assert run(tmp_path, argv) == 3
         assert "self-check: FAIL" in capsys.readouterr().err
         assert len(calls) == (2 if point is GENERIC_POINT else 1)
+
+
+def fresh_process(code, cwd):
+    """(exit code, stdout, stderr) of python -c code in a new interpreter
+    that imports nhcreutz from this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+SCIPY_LOADED = ("sorted(m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.'))")
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy(self, tmp_path):
+        code = f"import sys, nhcreutz.cli; print({SCIPY_LOADED})"
+        assert fresh_process(code, tmp_path) == (0, "[]\n", "")
+
+    def test_commands_without_stepping_leave_out_scipy(self, tmp_path):
+        # only evolve and mipr step a state, through scipy.linalg.expm
+        code = (
+            "import sys\n"
+            "from nhcreutz.cli import main\n"
+            "point = ['--t0', '0.8', '--gbar', '0.4', '--g0', '0.5', "
+            "'--L', '6']\n"
+            "grid = ['--g0', '0.5', '--grid', '3x3', '--range', '-1:1', "
+            "'--L', '6']\n"
+            "codes = [main(['phase', *grid]), main(['dipr', *grid]), "
+            "main(['spectrum', *point, '--boundary', 'both']), "
+            "main(['classify', *point])]\n"
+            f"print(codes, {SCIPY_LOADED})\n")
+        rc, out, err = fresh_process(code, tmp_path)
+        # classify prints its report first
+        assert (rc, out.splitlines()[-1], err) == (0, "[0, 0, 0, 0] []", "")
+
+
+class TestSharedParser:
+    # a mix of commands, usage errors and a config file whose values must
+    # not outlive their own call
+    SEQUENCE = [
+        ["spectrum", "--t0", "0.8", "--gbar", "0.4", "--g0", "0.5", "--L",
+         "6", "--format", "json"],
+        ["phase", "--grid", "3x3"],
+        ["spectrum", "--config", "run.cfg", "-o", "cfg.json"],
+        ["spectrum", "--t0", "0.3", "--gbar", "0.2", "--g0", "0.1",
+         "--format", "json", "-o", "after.json"],
+        ["classify", "--t0", "1", "--gbar", "0.5", "--g0", "0.5", "--L",
+         "7"],
+        ["phase", "--g0", "0.5", "--grid", "3x3", "--range", "-1:1", "--L",
+         "6", "--snap-special"],
+        ["bogus"],
+        ["spectrum", "--config", "missing.cfg"],
+        ["dipr", "--g0", "0.5", "--grid", "2x2", "--L", "6"],
+    ]
+
+    @staticmethod
+    def workdir(path):
+        path.mkdir()
+        (path / "run.cfg").write_text("t0 = 0.8\ngbar = 0.4\ng0 = 0.5\n"
+                                      "L = 4\nformat = json\n")
+        return path
+
+    @staticmethod
+    def outputs(path):
+        return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+    def test_sequence_matches_fresh_parsers(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the reference builds a new parser for every call
+        shared_dir = self.workdir(tmp_path / "shared")
+        fresh_dir = self.workdir(tmp_path / "fresh")
+        shared = [(run(shared_dir, argv), *capsys.readouterr())
+                  for argv in self.SEQUENCE]
+        assert cli._shared_parser() is cli._shared_parser()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [(run(fresh_dir, argv), *capsys.readouterr())
+                 for argv in self.SEQUENCE]
+        assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0, 2, 0, 2, 2, 0]
+        assert shared == fresh
+        assert self.outputs(shared_dir) == self.outputs(fresh_dir)

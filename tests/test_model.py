@@ -19,6 +19,7 @@ from nhcreutz import (
     obc_spectrum_via_chains,
     w_basis,
 )
+from nhcreutz.model import _chain_bonds
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=6,
@@ -270,6 +271,27 @@ class TestChainDecomposition:
                     for H, ref in zip(chains, refs):
                         assert H.tobytes() == ref.tobytes()
         assert {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1)} <= signs
+
+    def test_chain_bonds_byte_identical_to_resize(self):
+        # the former construction: np.resize of each (chain-one, chain-two)
+        # pair of Python scalars to length L
+        def resize_bonds(p):
+            d = derive(p)
+            primed = (-1j * (d.fp + d.gp), -1j * (d.fp - d.gp), d.v2)
+            plain = (-1j * (d.f + d.g), -1j * (d.f - d.g), d.u2)
+            return tuple(tuple(np.resize(pair, p.L) for pair in zip(a, b))
+                         for a, b in ((primed, plain), (plain, primed)))
+
+        # the sign cases of test_nhssh_byte_identical_to_loop, plus ELu
+        points = [(0.3, 0.2, 0.1), (0.8, 0.4, -0.5), (-0.8, 0.4, 0.5),
+                  (0.0, 2.0, 0.0), (0.3, 0.8, 0.5)]
+        for t0, gbar, g0 in points:
+            for L in range(2, 81, 2):
+                p = params(t0=t0, gbar=gbar, g0=g0, L=L)
+                for chain, ref in zip(_chain_bonds(p), resize_bonds(p)):
+                    for bond, old in zip(chain, ref):
+                        assert bond.dtype == old.dtype
+                        assert bond.tobytes() == old.tobytes()
 
     def test_permutation_is_a_permutation(self):
         perm = nhssh_permutation(params(L=8))

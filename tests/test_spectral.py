@@ -18,6 +18,7 @@ from nhcreutz import (
     build_bloch,
     build_realspace,
     classify,
+    classify_point,
     derive,
     eig,
     enclosed_area,
@@ -30,7 +31,8 @@ from nhcreutz import (
     spectral_density_M,
 )
 from nhcreutz.model import _chain_bonds
-from nhcreutz.spectral import _split_eig, _tridiag_spectrum_from_squares
+from nhcreutz.spectral import (_golub_kahan, _split_eig,
+                               _tridiag_spectrum_from_squares)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -136,6 +138,93 @@ class TestChainSpectrum:
     def test_odd_L_rejected(self):
         with pytest.raises(ValueError):
             obc_spectrum_via_chains(params(L=7))
+
+
+def ssh_couplings(v, u, L):
+    """Couplings (v, u, v, ..., v) of an open SSH chain of even order L."""
+    return np.where(np.arange(L - 1) % 2 == 0, v, u)
+
+
+def eigsy_reference(c, dps):
+    """Eigenvalues, ascending, of the zero-diagonal symmetric tridiagonal
+    with couplings c, by mpmath.eigsy at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        T = mpmath.zeros(len(c) + 1)
+        for i, x in enumerate(c):
+            T[i, i + 1] = T[i + 1, i] = mpmath.mpf(float(x))
+        return sorted(mpmath.eigsy(T, eigvals_only=True))
+
+
+def tridiagonal_solver_spectrum(sq):
+    """Same-sign chain eigenvalues from scipy's eigvalsh_tridiagonal, the
+    route _golub_kahan replaced."""
+    import scipy.linalg
+    L = len(sq) + 1
+    if np.all(sq >= 0.0):
+        return scipy.linalg.eigvalsh_tridiagonal(
+            np.zeros(L), np.sqrt(sq)).astype(complex)
+    return 1j * scipy.linalg.eigvalsh_tridiagonal(np.zeros(L), np.sqrt(-sq))
+
+
+class TestGolubKahan:
+    """Same-sign chains through the SVD of their bidiagonal half."""
+
+    @pytest.mark.parametrize("v, edge", [
+        (0.1, 9.9000000000000137279e-26),
+        (0.2, 3.2212254720000044554e-18),
+    ])
+    def test_edge_mode_matches_80_digit_reference(self, v, edge):
+        # eigsy_reference(ssh_couplings(v, 1.0, 50), 80); the tridiagonal
+        # solver returned 9.17e-18 and 6.52e-18, its absolute rounding
+        lam = _golub_kahan(ssh_couplings(v, 1.0, 50))
+        assert abs(lam[25] - edge) <= 1e-12 * edge
+        assert abs(lam[24] + edge) <= 1e-12 * edge
+
+    def test_relative_accuracy_on_random_chains(self):
+        # edge modes down to 2e-16 max|E|; the tridiagonal solver is off
+        # by up to 8e-3 of an eigenvalue here
+        rng = np.random.default_rng(3)
+        for v, u in rng.uniform(0.05, 2.0, (20, 2)):
+            c = ssh_couplings(v, u, 20)
+            ref = np.array([float(e) for e in eigsy_reference(c, 40)])
+            lam = _golub_kahan(c)
+            assert np.all(np.abs(lam - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("L", [2, 4, 80])
+    def test_orthonormal_eigenvectors(self, L):
+        rng = np.random.default_rng(L)
+        for _ in range(5):
+            c = rng.uniform(0.05, 2.0, L - 1) * rng.choice([-1.0, 1.0], L - 1)
+            T = np.diag(c, 1) + np.diag(c, -1)
+            lam, Y = _golub_kahan(c, vectors=True)
+            assert np.abs(T @ Y - Y * lam).max() <= 1e-14 * np.abs(lam).max()
+            assert np.abs(Y.T @ Y - np.eye(L)).max() <= 1e-14
+            assert np.abs(lam - _golub_kahan(c)).max() <= 1e-14 * lam[-1]
+
+    def test_ascending_like_the_tridiagonal_solver(self):
+        rng = np.random.default_rng(7)
+        for L in range(2, 41, 2):
+            sq = rng.uniform(0.05, 2.0, L - 1) * rng.choice([-1.0, 1.0])
+            E = _tridiag_spectrum_from_squares(sq)
+            old = tridiagonal_solver_spectrum(sq)
+            key = E.real + E.imag
+            assert np.all(np.diff(key) >= 0.0)
+            assert np.abs(E - old).max() <= 1e-13 * np.abs(old).max()
+
+    @pytest.mark.parametrize("t0, gbar, label", [
+        (0.3, 0.8, "ELu"),  # u = 0, v^2 > 0
+        (0.3, 1.2, "ELv"),  # v = 0, u^2 < 0
+        (0.5, 1.0, "TriplePoint"),  # u = v = 0
+    ])
+    def test_zero_couplings_as_before(self, t0, gbar, label):
+        for L in (2, 4, 10, 50):
+            p = params(t0=t0, gbar=gbar, g0=0.5, L=L)
+            assert classify_point(p).label == label
+            for E, (_, _, sq) in zip(obc_spectrum_via_chains(p),
+                                     _chain_bonds(p)):
+                assert E.tobytes() == \
+                    tridiagonal_solver_spectrum(sq[:-1]).tobytes()
 
 
 def dense_chain_spectrum(sq):

@@ -178,13 +178,40 @@ def resolvable(p):
     return np.min(np.abs(np.diff(z))) > 1e-10 * np.max(np.abs(z))
 
 
-# Generic nodes (g0 = 0.5) next to an exceptional line
-NEAR_EXCEPTIONAL = [
-    # residual 1.80 against max|E| 1.9: the chain vectors are lost
-    (-0.05665856467284369, 1.557951337396001, 50),
-    # 2e-12 off the exceptional line g = f: the chain solve fails
+# Generic nodes (g0 = 0.5) next to an exceptional line, (t0, gbar, L).
+# The chain solve fails or misses the residual gate by more than 10x, so
+# dense eig writes the row
+DENSE_FALLBACK = [
+    # 2e-12 off the exceptional line g = f: chain residual 1.4e-9 against
+    # a gate of 6.3e-11
     (0.3, 0.7999999999980001, 60),
+    # 1e-9 off g = f: the balancing envelope underflows (Overflow)
+    (0.3, 0.7999999990000001, 200),
 ]
+
+# Generic nodes next to an exceptional line whose chain solve passes the
+# gate by more than 10x, (t0, gbar, g0, L); each has a reference in
+# TestDiprMap.test_matches_60_digit_reference
+CHAIN_NEAR_EXCEPTIONAL = [
+    # chain residual 4e-14 against a gate of 1.9e-10
+    (-0.05665856467284369, 1.557951337396001, 0.5, 50),
+    # v^2 = 0.0198; an edge pair at +-5.85e-31
+    (1.714285714285714, 1.0, 0.3, 50),
+    (-1.7142857142857144, -1.0, 0.3, 50),
+]
+
+
+def chain_residual_ratio(p):
+    """Largest chain residual over CHAIN_RESIDUAL_GATE max|E|, or inf
+    when the chain solve fails."""
+    try:
+        with np.errstate(all="ignore"):
+            chains = _obc_chain_eigs(p)
+    except (Overflow, np.linalg.LinAlgError):
+        return np.inf
+    lam = np.concatenate([c[0] for c in chains])
+    return max(c[2] for c in chains) \
+        / (sweep.CHAIN_RESIDUAL_GATE * np.abs(lam).max())
 
 
 class TestDiprMap:
@@ -226,6 +253,18 @@ class TestDiprMap:
         # mixed-sign chains (u^2 v^2 < 0)
         (-1.334, 1.662, -1.371, 0.1436701794046420928525),
         (1.305, -1.753, -1.628, 0.1517887341768231951028),
+        # next to exceptional lines (CHAIN_NEAR_EXCEPTIONAL), each chain
+        # balanced exactly in mpmath before mpmath.eig. Dense eig gives
+        # -0.3229 at the first node; eigh_tridiagonal chain vectors
+        # missed the residual gate at all three, and dense eig gave
+        # 0.27999 and -0.25863 at the last two
+        (-0.05665856467284369, 1.557951337396001, 0.5,
+         -0.25688249570868582072),
+        (1.714285714285714, 1.0, 0.3, 0.26264440953516204891),
+        (-1.7142857142857144, -1.0, 0.3, -0.26264440953516127175),
+        # same-sign chains with a near-degenerate pair: eigh_tridiagonal
+        # vectors passed the gate here and gave -0.00687
+        (0.952, 0.019, 0.019, -0.011225316153020550164),
     ])
     def test_matches_60_digit_reference(self, t0, gbar, g0, ref):
         # References: each chain of build_nhssh, built from the same
@@ -245,27 +284,27 @@ class TestDiprMap:
         assert (row.t0, row.gbar, row.status) == (t0, gbar, "ok")
         assert abs(row.mean_dipr - ref) <= 1e-10
 
-    @pytest.mark.parametrize("t0, gbar, L", NEAR_EXCEPTIONAL)
+    @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
     def test_near_exceptional_node_falls_back_to_dense(self, t0, gbar, L):
-        # Generic nodes close to an exceptional line take dense eig, and
-        # never write a chain average that fails the residual gate
+        # Generic nodes whose chain solve fails the residual gate take
+        # dense eig, and never write the chain average
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
-        try:
-            with np.errstate(all="ignore"):
-                chains = obc_eig_via_chains(p)
-        except (Overflow, np.linalg.LinAlgError):
-            chain_dipr = None
-        else:
-            assert chains.residual_max > \
-                sweep.CHAIN_RESIDUAL_GATE * np.abs(chains.eigenvalues).max()
-            chain_dipr = mean_dipr(chains, L)
+        assert classify_point(p).label == GENERIC
+        assert chain_residual_ratio(p) > 10.0
+        assert sweep._chain_route(p) is None
+        dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
+        assert sweep._dipr_node(p, GENERIC) == (dense, False)
+
+    @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
+    def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
+        # where the chain solve passes the gate, the row is its average
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
+        _, blocks = sweep._chain_route(p)
         s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
-                     gbar_range=(gbar, gbar + 0.1, 2), g0=0.5, L=L)
+                     gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=L)
         row = dipr_map(s)[0]
         assert (row.degeneracy_label, row.status) == (GENERIC, "ok")
-        dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
-        assert row.mean_dipr == dense
-        assert row.mean_dipr != chain_dipr
+        assert row.mean_dipr == _mean_dipr_chains(blocks)
 
     def test_efb_diagonal_flagged(self):
         s = spec(lo=-2.0, hi=2.0, n=5, g0=1.0, L=10)
@@ -352,11 +391,18 @@ class TestChainRoute:
             assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
             assert (sweep._chain_route(p) is not None) == ladder_gate(p)
 
-    @pytest.mark.parametrize("t0, gbar, L", NEAR_EXCEPTIONAL)
+    @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
     def test_gate_unchanged_near_exceptional_lines(self, t0, gbar, L):
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
         assert sweep._chain_route(p) is None
         assert not ladder_gate(p)
+
+    @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
+    def test_gate_passes_near_exceptional_lines(self, t0, gbar, g0, L):
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
+        assert chain_residual_ratio(p) < 0.1
+        assert sweep._chain_route(p) is not None
+        assert ladder_gate(p)
 
 
 class TestMiprMap:
