@@ -11,6 +11,8 @@ from .spectral import eig
 # raw stored states carry the accumulated norm; cap it below float range
 _LOG_NORM_MAX = math.log(1e300)
 _EVEC_CONDITION_MAX = 1e6
+# states per support-counting pass of the mIPR map, (B, 16, 2, L) at most
+_SUPPORT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,19 @@ def _mipr_rows(units, L):
     return np.vecdot(p4[..., 0::2] + p4[..., 1::2], w)
 
 
-def _support_rows(units, fraction=1e-6):
-    """Cell-support count of each row of units (..., 2L)."""
-    p2 = np.abs(units) ** 2
-    cells = p2[..., 0::2] + p2[..., 1::2]
+def _cell_support(cells, fraction=1e-6):
+    """Number of entries of each row of cell intensities (..., L) above
+    fraction times the row's peak."""
     peak = cells.max(axis=-1, initial=0.0)
     if not peak.all():
         raise ZeroState("state has no weight")
     return (cells > fraction * peak[..., None]).sum(axis=-1)
+
+
+def _support_rows(units, fraction=1e-6):
+    """Cell-support count of each row of units (..., 2L)."""
+    p2 = np.abs(units) ** 2
+    return _cell_support(p2[..., 0::2] + p2[..., 1::2], fraction)
 
 
 def mipr(state, L):
@@ -101,9 +108,14 @@ def _row_norms(x):
 
 
 def _step_stack(U, psi0, times):
-    """Evolve a stack of unit states psi0 (B, 2L) with their one-step
-    propagators U (B, 2L, 2L) over the uniform grid times, one stacked
+    """Evolve a stack of unit states psi0 (B, ..., n) with their one-step
+    propagators U (B, ..., n, n) over the uniform grid times, one stacked
     product per step.
+
+    A row is one state: a ladder state (B, 2L) with U (B, 2L, 2L), or
+    independent blocks such as the two NH-SSH chains (B, 2, L) with U
+    (B, 2, L, L). A row's norm is taken jointly over its blocks, and its
+    blocks are scaled together.
 
     Yields (live, units, lognorms, failed) after each step: the stack
     indices still running, their unit states and accumulated log norms,
@@ -115,9 +127,9 @@ def _step_stack(U, psi0, times):
     lognorms = [0.0] * len(psi0)
     phi = psi0
     for k in range(1, len(times)):
-        # one mat-vec product per row, equal to U[i] @ phi[i] bit for bit
-        phi = (U @ phi[:, :, None])[:, :, 0]
-        g = _row_norms(phi)
+        # one mat-vec product per block, equal to U[i] @ phi[i] bit for bit
+        phi = (U @ phi[..., None])[..., 0]
+        g = _row_norms(phi.reshape(len(phi), -1))
         failed = {}
         for i, gi in enumerate(g.tolist()):
             try:
@@ -134,14 +146,15 @@ def _step_stack(U, psi0, times):
             failed = {int(live[i]): exc for i, exc in failed.items()}
             live, U, phi, g = live[keep], U[keep], phi[keep], g[keep]
             lognorms = [lognorms[i] for i in keep]
-        phi = phi / g[:, None]
+        phi = phi / g.reshape((-1,) + (1,) * (phi.ndim - 1))
         yield live, phi, tuple(lognorms), failed
         if not len(live):
             return
 
 
 def _step_propagator(H, times):
-    """exp(-i dt H) for the spacing dt of the uniform grid times.
+    """exp(-i dt H) for the spacing dt of the uniform grid times; a stack
+    H (..., n, n) gives the stack of exponentials.
 
     scipy.linalg is imported here, its only use, so the commands that
     never step a state do not load it."""
@@ -163,21 +176,42 @@ def _propagate_expm(H, psi0, times, L):
     return _trace_arrays(times, units, lognorms, L)
 
 
-def _final_mipr_and_support(U, psi0, times, L):
-    """Evolve a stack of unit states psi0 (B, 2L) with their one-step
-    propagators U (B, 2L, 2L) and return, per row, the mIPR of the final
-    state and the largest cell support over all times, without keeping the
-    history: (mipr_final, max_support, failed). failed maps the rows that
-    dropped out to their exception; their entries of the arrays are
-    meaningless. Each value equals propagate(..., method="expm") bit for
-    bit."""
-    max_support = _support_rows(psi0)
-    mipr_final = np.zeros(len(psi0))
+def _final_mipr_and_support(U, z0, times, legs):
+    """Evolve a stack of ladder states given on their two NH-SSH chains,
+    unit z0 (B, 2, L), with the chains' one-step propagators U
+    (B, 2, L, L), and return, per row, the mIPR of the final state and the
+    largest cell support over all times, without keeping the history:
+    (mipr_final, max_support, failed). failed maps the rows that dropped
+    out to their exception; their entries of the arrays are meaningless.
+
+    Site n of either chain is one w orbital of the same cell, and the w
+    basis is unitary per cell, so that cell's intensity is
+    |z1_n|^2 + |z2_n|^2 and the support needs no map back to the legs.
+    The mIPR weights the legs, so only the final states are mapped back,
+    through legs (2L, 2L): a chain state z is the ladder state
+    legs @ z.ravel().
+
+    The supports are counted in one pass over up to _SUPPORT_CHUNK
+    consecutive states of the same rows, not once per step."""
+    L = z0.shape[-1]
+    max_support = np.zeros(len(z0), dtype=int)
+    mipr_final = np.zeros(len(z0))
     failed = {}
-    for live, phi, _, dropped in _step_stack(U, psi0, times):
+    rows, states = np.arange(len(z0)), [z0]
+
+    def count_supports():
+        cells = (np.abs(np.stack(states, axis=1)) ** 2).sum(axis=-2)
+        max_support[rows] = np.maximum(max_support[rows],
+                                       _cell_support(cells).max(axis=1))
+
+    for live, phi, _, dropped in _step_stack(U, z0, times):
         failed.update(dropped)
-        max_support[live] = np.maximum(max_support[live], _support_rows(phi))
-    mipr_final[live] = _mipr_rows(phi, L)
+        if dropped or len(states) == _SUPPORT_CHUNK:
+            count_supports()
+            rows, states = live, []
+        states.append(phi)
+    count_supports()
+    mipr_final[live] = _mipr_rows(phi.reshape(len(phi), 2 * L) @ legs.T, L)
     return mipr_final, max_support, failed
 
 
@@ -228,8 +262,7 @@ def _evolution_inputs(H, psi0, t_max, n_steps, method):
         raise ValueError("square matrix required")
     if dim % 2 != 0:
         raise ValueError("even dimension required (two sites per cell)")
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
-        raise ValueError("H must have finite entries")
+    _require_finite(H)
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if psi0.size != dim:
         raise ValueError(f"state length {psi0.size} does not match {dim}")
@@ -237,13 +270,26 @@ def _evolution_inputs(H, psi0, t_max, n_steps, method):
     if nrm == 0.0:
         raise ZeroState("cannot evolve the zero state")
     psi0 = psi0 / nrm
+    times = _time_grid(t_max, n_steps)
+    if method not in ("auto", "eig", "expm"):
+        raise ValueError(f"unknown method {method!r}")
+    return H, psi0, times
+
+
+def _require_finite(H):
+    """Raise ValueError unless every entry of the complex array H is
+    finite."""
+    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+        raise ValueError("H must have finite entries")
+
+
+def _time_grid(t_max, n_steps):
+    """The uniform grid of n_steps intervals on [0, t_max], validated."""
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
         raise ValueError("n_steps must be a positive integer")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError("t_max must be positive and finite")
-    if method not in ("auto", "eig", "expm"):
-        raise ValueError(f"unknown method {method!r}")
-    return H, psi0, np.linspace(0.0, float(t_max), n_steps + 1)
+    return np.linspace(0.0, float(t_max), n_steps + 1)
 
 
 def propagate(H, psi0, t_max, n_steps, method="auto"):

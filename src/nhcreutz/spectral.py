@@ -381,19 +381,21 @@ def enclosed_area(params, n_k=256):
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     ks = np.linspace(0.0, 2.0 * math.pi, n_k, endpoint=False)
+    # the grid and the closing k = 2 pi in one call
+    eps, ems = pbc_dispersion(params, np.append(ks, 2.0 * math.pi))
+    eps, ems = eps.tolist(), ems.tolist()
     band_a = np.empty(n_k, dtype=complex)
     band_b = np.empty(n_k, dtype=complex)
-    prev = pbc_dispersion(params, ks[0])
-    band_a[0], band_b[0] = prev
+    band_a[0], band_b[0] = eps[0], ems[0]
     for i in range(1, n_k):
-        ep, em = pbc_dispersion(params, ks[i])
+        ep, em = eps[i], ems[i]
         # greedy continuation: keep each band continuous in the complex plane
         if abs(ep - band_a[i - 1]) + abs(em - band_b[i - 1]) <= \
            abs(em - band_a[i - 1]) + abs(ep - band_b[i - 1]):
             band_a[i], band_b[i] = ep, em
         else:
             band_a[i], band_b[i] = em, ep
-    ep, em = pbc_dispersion(params, 2.0 * math.pi)
+    ep, em = eps[-1], ems[-1]
     swapped = (abs(ep - band_a[-1]) + abs(em - band_b[-1])
                > abs(em - band_a[-1]) + abs(ep - band_b[-1]))
     if swapped:

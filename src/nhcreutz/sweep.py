@@ -9,11 +9,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .degeneracy import GENERIC, _defective_from, classify_point
-from .dynamics import (_evolution_inputs, _final_mipr_and_support,
-                       _step_propagator, initial_state)
+from .dynamics import (_final_mipr_and_support, _require_finite,
+                       _step_propagator, _time_grid, initial_state)
 from .errors import Overflow
 from .localization import _mean_dipr_chains, mean_dipr
-from .model import OBC, PBC, ModelParams, build_realspace, derive
+from .model import (OBC, PBC, ModelParams, build_nhssh, build_realspace,
+                    derive, nhssh_permutation, w_basis)
 from .spectral import (_block_diagonal, _obc_chain_eigs, classify, eig,
                        obc_spectrum_via_chains, pbc_dispersion)
 
@@ -207,31 +208,44 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
     """Displacement IPR of the evolved center-cell state at t_max per
     node; Overflow is recorded as a row marker.
 
-    One grid row (fixed gbar) at a time: each node's one-step propagator
-    is built on its own, then the row's states advance together, one
-    stacked product per step, and the cell support and the final mIPR are
-    computed on the fly. A failure stays at its node.
+    The state evolves on the two L x L NH-SSH chains of build_nhssh, not
+    on the 2L x 2L ladder: in the w basis W the balanced ladder is
+    W^+ P (H1 (+) H2) P^T W (P the chain permutation), so one step
+    exp(-i dt H) is the two chain exponentials. Odd L and unbalanced legs
+    have no chains, and their nodes get the error of build_nhssh.
+
+    One grid row (fixed gbar) at a time: each node's (2, L, L) stack of
+    chain propagators is built on its own, then the row's states advance
+    together, one stacked product per step, and the cell support and the
+    final mIPR are computed on the fly (_final_mipr_and_support). A
+    failure stays at its node.
     """
     t0_vals, gbar_vals = grid_axes(spec)
-    dim = 2 * spec.L
+    L = spec.L
+    W = w_basis(L)
+    wpsi = W @ initial_state(L)
     out = []
     for gbar in gbar_vals:
-        U = np.empty((len(t0_vals), dim, dim), dtype=complex)
+        U = np.empty((len(t0_vals), 2, L, L), dtype=complex)
         built, status, rows = [], {}, {}
         for i, t0 in enumerate(t0_vals):
             try:
                 params = _node_params(spec, t0, gbar, spec.boundary)
-                H, psi0, times = _evolution_inputs(
-                    build_realspace(params), initial_state(spec.L),
-                    t_max, n_steps, "expm")
-                U[len(built)] = _step_propagator(H, times)
-                built.append((i, psi0, classify_point(params).label))
+                chains = np.stack(build_nhssh(params))
+                _require_finite(chains)
+                times = _time_grid(t_max, n_steps)
+                U[len(built)] = _step_propagator(chains, times)
+                built.append((i, nhssh_permutation(params),
+                              classify_point(params).label))
             except Exception as exc:  # row-level marker, never abort the grid
                 status[i] = type(exc).__name__
         if built:
-            idx, psi, labels = zip(*built)
+            idx, perms, labels = zip(*built)
+            # the permutation depends on L alone: one map back for the row
+            legs = W.conj().T[:, perms[0]]
             mipr_final, max_support, dropped = _final_mipr_and_support(
-                U[:len(built)], np.array(psi), times, spec.L)
+                U[:len(built)], wpsi[np.array(perms)].reshape(-1, 2, L),
+                times, legs)
             for j, i in enumerate(idx):
                 if j in dropped:
                     status[i] = type(dropped[j]).__name__

@@ -439,3 +439,37 @@ class TestCurveGeometry:
     def test_area_positive_at_skin_point(self):
         assert enclosed_area(params(t0=0.5, gbar=0.8, g0=0.1, boundary=PBC,
                                     L=50)) > 0.01
+
+    def test_area_equals_per_k_loop(self):
+        def per_k_area(p, n_k=256):
+            # one pbc_dispersion call per momentum, then the same greedy
+            # continuation and shoelace sum
+            ks = np.linspace(0.0, 2.0 * np.pi, n_k, endpoint=False)
+            band_a = np.empty(n_k, dtype=complex)
+            band_b = np.empty(n_k, dtype=complex)
+            band_a[0], band_b[0] = pbc_dispersion(p, ks[0])
+            for i in range(1, n_k):
+                ep, em = pbc_dispersion(p, ks[i])
+                if abs(ep - band_a[i - 1]) + abs(em - band_b[i - 1]) <= \
+                   abs(em - band_a[i - 1]) + abs(ep - band_b[i - 1]):
+                    band_a[i], band_b[i] = ep, em
+                else:
+                    band_a[i], band_b[i] = em, ep
+            ep, em = pbc_dispersion(p, 2.0 * np.pi)
+            if (abs(ep - band_a[-1]) + abs(em - band_b[-1])
+                    > abs(em - band_a[-1]) + abs(ep - band_b[-1])):
+                loops = [np.concatenate([band_a, band_b])]
+            else:
+                loops = [band_a, band_b]
+            return float(sum(
+                0.5 * abs(np.sum(lp.real * np.roll(lp.imag, -1)
+                                 - np.roll(lp.real, -1) * lp.imag))
+                for lp in loops))
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            t0, gbar, g0, dt, dg = rng.uniform(-1.5, 1.5, 5)
+            p = params(t0=t0, gbar=gbar, g0=g0, dt=dt * (rng.random() < 0.5),
+                       dg=dg * (rng.random() < 0.5), boundary=PBC, L=50)
+            n_k = int(rng.choice([64, 256, 301]))
+            assert enclosed_area(p, n_k) == per_k_area(p, n_k)

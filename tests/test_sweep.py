@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ def concurrent_runs(fn, n):
 
 
 def per_node_mipr(s, t_max, n_steps):
-    """The rows of mipr_map from one propagate(..., method="expm") call
-    per node."""
+    """Reference rows for mipr_map from one ladder
+    propagate(..., method="expm") call per node."""
     rows = []
     t0v, gv = grid_axes(s)
     for gbar in gv:
@@ -68,6 +69,37 @@ def per_node_mipr(s, t_max, n_steps):
                 degeneracy_label=label,
                 status="ok" if label == GENERIC else label))
     return rows
+
+
+def expm_reference_mipr(params, t_max, n_steps, dps=30):
+    """mIPR of the center-cell state after n_steps steps of the ladder's
+    exp(-i dt H), with mpmath's expm at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    L = params.L
+    with mpmath.workdps(dps):
+        H = mpmath.matrix(build_realspace(params).tolist())
+        U = mpmath.expm(-1j * mpmath.mpf(t_max) / n_steps * H)
+        psi = mpmath.matrix(initial_state(L).tolist())
+        for _ in range(n_steps):
+            psi = U * psi
+            psi = psi / mpmath.norm(psi)
+        p2 = [abs(x) ** 2 for x in psi]
+        half = mpmath.mpf(L) / 2
+        return float(sum((half - j) / half * (p2[2 * j - 2] ** 2
+                                              + p2[2 * j - 1] ** 2)
+                         for j in range(1, L + 1)))
+
+
+def assert_chain_rows_match(rows, ref, tol=1e-12):
+    """mipr_map rows, stepped on the two chains, against per-node ladder
+    rows: every field equal, but mipr_final only within tol, since the
+    chain exponentials round differently."""
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        assert replace(row, mipr_final=None) == replace(want, mipr_final=None)
+        assert (row.mipr_final is None) == (want.mipr_final is None)
+        if want.mipr_final is not None:
+            assert abs(row.mipr_final - want.mipr_final) <= tol
 
 
 class TestGridSpec:
@@ -431,7 +463,17 @@ class TestMiprMap:
         s = spec(lo=-1.5, hi=1.5, n=4, L=12, boundary=boundary)
         rows = mipr_map(s, t_max=10.0, n_steps=50)
         assert all(r.status != "Overflow" for r in rows)
-        assert rows == per_node_mipr(s, t_max=10.0, n_steps=50)
+        assert_chain_rows_match(rows, per_node_mipr(s, t_max=10.0,
+                                                    n_steps=50))
+
+    def test_support_matches_before_the_chain_fills(self):
+        # short times: the support grows from 1 cell and stays below L,
+        # so it is counted from both chains at the cell edge
+        s = spec(lo=-1.5, hi=1.5, n=4, L=40)
+        rows = mipr_map(s, t_max=1.0, n_steps=10)
+        assert {r.max_support for r in rows} & set(range(2, 40))
+        assert_chain_rows_match(rows, per_node_mipr(s, t_max=1.0,
+                                                    n_steps=10))
 
     def test_overflow_mixed_with_ok_nodes(self):
         s = GridSpec(t0_range=(5.5, 6.5, 4), gbar_range=(5.5, 6.5, 4),
@@ -439,7 +481,32 @@ class TestMiprMap:
         rows = mipr_map(s, t_max=200.0, n_steps=20)
         statuses = {r.status for r in rows}
         assert {"ok", "Overflow"} <= statuses
-        assert rows == per_node_mipr(s, t_max=200.0, n_steps=20)
+        assert_chain_rows_match(rows, per_node_mipr(s, t_max=200.0,
+                                                    n_steps=20))
+
+    @pytest.mark.parametrize("t0, gbar, g0, boundary", [
+        (0.3, 1.4, 0.5, OBC),  # strong non-reciprocity
+        (0.2, 0.7 + 1e-9, 0.5, OBC),  # 1e-9 off ELu: g = 1.2, f = 1.2 + 1e-9
+        (-0.4, 0.6, 0.3, PBC),
+    ])
+    def test_matches_30_digit_expm(self, t0, gbar, g0, boundary):
+        s = GridSpec(t0_range=(t0, t0 + 0.5, 2),
+                     gbar_range=(gbar, gbar + 0.5, 2), g0=g0, L=10,
+                     boundary=boundary)
+        row = mipr_map(s, t_max=4.0, n_steps=8)[0]
+        assert row.status == "ok" and (row.t0, row.gbar) == (t0, gbar)
+        p = ModelParams.from_bars(t0=t0, gbar=gbar, g0=g0, L=10,
+                                  boundary=boundary)
+        ref = expm_reference_mipr(p, 4.0, 8)
+        assert abs(row.mipr_final - ref) <= 1e-13
+
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    def test_odd_L_nodes_have_no_chains(self, boundary):
+        # the chain route needs even L, as phase_diagram and dipr_map do
+        rows = mipr_map(spec(lo=0.2, hi=0.8, n=2, L=9, boundary=boundary),
+                        t_max=5.0, n_steps=10)
+        assert [r.status for r in rows] == ["ValueError"] * 4
+        assert all(r.mipr_final is None for r in rows)
 
     @pytest.mark.parametrize("fault, status", [
         ("raise", "ConvergenceFailure"),
@@ -450,23 +517,23 @@ class TestMiprMap:
         s = spec(lo=0.2, hi=0.8, n=4, L=10)
         clean = mipr_map(s, t_max=5.0, n_steps=20)
         bad = clean[9]
-        build, step = sweep.build_realspace, sweep._step_propagator
+        build, step = sweep.build_nhssh, sweep._step_propagator
 
         def faulty_build(params):
-            H = build(params)
+            H1, H2 = build(params)
             if (params.t0, params.g1) == (bad.t0, bad.gbar):
                 if fault == "raise":
                     raise ConvergenceFailure("injected")
                 if fault == "nan":
-                    H[0, 1] = np.nan
+                    H1[0, 1] = np.nan
                 if fault == "zero":
-                    H[:] = 0.0
-            return H
+                    H1[:] = H2[:] = 0.0
+            return H1, H2
 
         def faulty_step(H, times):
             return np.zeros_like(H) if not H.any() else step(H, times)
 
-        monkeypatch.setattr(sweep, "build_realspace", faulty_build)
+        monkeypatch.setattr(sweep, "build_nhssh", faulty_build)
         monkeypatch.setattr(sweep, "_step_propagator", faulty_step)
         rows = mipr_map(s, t_max=5.0, n_steps=20)
         assert rows[9] == GridRow(t0=bad.t0, gbar=bad.gbar, status=status)
