@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .degeneracy import classify_point, is_defective, jordan_structure
+from .degeneracy import (EFB_LINE, classify_point, is_defective,
+                         jordan_structure)
 from .dynamics import _row_norms, initial_state, propagate
 from .errors import IllConditioned, NhcreutzError
 from .gauge import gauge_report
@@ -438,7 +439,11 @@ def cmd_classify(ns, sp):
     cls = classify(eigs, tol_abs=1e-9 * float(np.abs(eigs).max()))
     jordan = []
     defective = None
-    if report.lam is not None:
+    if report.label == EFB_LINE:
+        # H^2 = 0 and rank H = L exactly (README), while sigma_L can fall
+        # below any rank cut
+        jordan, defective = [(0j, (2,) * ns.L)], True
+    elif report.lam is not None:
         H = build_realspace(_params(ns, OBC))
         if 2 * ns.L <= 64:
             seen = []

@@ -9,9 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
-from .model import (OBC, ModelParams, _chain_bonds, _envelope,
-                    build_realspace, derive, nhssh_permutation,
-                    require_balanced, w_basis)
+from .model import (OBC, ModelParams, _chain_bonds, _envelope, derive,
+                    nhssh_permutation, require_balanced, w_basis)
 
 REAL = "Real"
 IMAGINARY = "Imaginary"
@@ -267,7 +266,8 @@ def _balanced_tridiag_eig(up, lo, sq):
     conditioned; the envelope is multiplied back afterwards. Mixed real
     and imaginary couplings are solved by _split_eig on the products sq.
     Every bond must be bidirectional, which fails exactly on the
-    exceptional loci.
+    exceptional loci. Returns (lam, Y, X), Y the balanced vectors and X
+    the unit columns of diag(d) Y.
     """
     if np.any(up == 0.0) or np.any(lo == 0.0):
         raise SingularGauge("chain has a one-directional bond; no balancing "
@@ -289,7 +289,7 @@ def _balanced_tridiag_eig(up, lo, sq):
     if not np.all(np.isfinite(X)):
         raise Overflow("eigenvector norm overflows or underflows; chain "
                        "too long for this non-reciprocity")
-    return lam, X
+    return lam, Y, X
 
 
 def _tridiag_residual(up, lo, lam, X):
@@ -302,27 +302,18 @@ def _tridiag_residual(up, lo, lam, X):
 
 
 def _obc_chain_eigs(params):
-    """Per OBC chain (lam, X, residual): the eigenpairs of
-    _balanced_tridiag_eig, unit columns, and their largest residual
-    ||T x - lam x|| on the chain itself. Balanced OBC only."""
+    """Per OBC chain (lam, Y, X, residual): the eigenpairs of
+    _balanced_tridiag_eig, the balanced vectors Y and the unit columns X,
+    and the largest residual ||T x - lam x|| of X on the chain itself.
+    Balanced OBC only."""
     bonds = _chain_bonds(params)
     if params.boundary != OBC:
         raise ValueError("chain eigendecomposition is open-boundary only")
     out = []
     for up, lo, sq in bonds:
-        lam, X = _balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
-        out.append((lam, X, _tridiag_residual(up[:-1], lo[:-1], lam, X)))
+        lam, Y, X = _balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
+        out.append((lam, Y, X, _tridiag_residual(up[:-1], lo[:-1], lam, X)))
     return tuple(out)
-
-
-def _block_diagonal(X1, X2):
-    """The 2L x 2L block-diagonal matrix of the two chains' L x L
-    eigenvector sets."""
-    L = len(X1)
-    Z = np.zeros((2 * L, 2 * L), dtype=complex)
-    Z[:L, :L] = X1
-    Z[L:, L:] = X2
-    return Z
 
 
 def obc_eig_via_chains(params):
@@ -332,23 +323,24 @@ def obc_eig_via_chains(params):
     each chain is balanced bond by bond, solved, unbalanced, and mapped
     back to the site basis. Use this instead of eig(build_realspace(...))
     whenever ladder eigenvectors are needed at system sizes where the skin
-    envelope ruins the dense solve; residual_max is taken on the dense
-    ladder. dipr_map needs no ladder vectors: it works on the chain
+    envelope ruins the dense solve. residual_max is the larger chain
+    residual, which the ladder vectors W^+ P (X1 (+) X2) share up to
+    rounding. dipr_map needs no ladder vectors: it works on the chain
     eigenpairs underneath (_obc_chain_eigs) directly. The eigenvector
-    condition is not computed (evec_condition is inf). Balanced OBC
-    only; raises SingularGauge on exceptional parameters.
+    condition is not computed (evec_condition is inf). Balanced OBC only;
+    raises SingularGauge on exceptional parameters.
     """
-    (lam1, X1, _), (lam2, X2, _) = _obc_chain_eigs(params)
+    (lam1, _, X1, r1), (lam2, _, X2, r2) = _obc_chain_eigs(params)
     L = params.L
-    lam = np.concatenate([lam1, lam2])
-    M = np.empty((2 * L, 2 * L), dtype=complex)
-    M[nhssh_permutation(params), :] = _block_diagonal(X1, X2)
+    perm = nhssh_permutation(params)
+    M = np.zeros((2 * L, 2 * L), dtype=complex)
+    M[perm[:L], :L] = X1
+    M[perm[L:], L:] = X2
     V = w_basis(L).conj().T @ M
     V = V / np.linalg.norm(V, axis=0)
-    H = build_realspace(params)
-    residual = float(np.max(np.linalg.norm(H @ V - V * lam, axis=0)))
-    return SpectrumResult(eigenvalues=lam, right_eigenvectors=V,
-                          residual_max=residual, evec_condition=math.inf)
+    return SpectrumResult(eigenvalues=np.concatenate([lam1, lam2]),
+                          right_eigenvectors=V, residual_max=max(r1, r2),
+                          evec_condition=math.inf)
 
 
 def _curve_distance_one(E, u, v):

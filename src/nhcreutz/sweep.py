@@ -15,7 +15,7 @@ from .errors import Overflow
 from .localization import _mean_dipr_chains, mean_dipr
 from .model import (OBC, PBC, ModelParams, build_nhssh, build_realspace,
                     derive, nhssh_permutation, w_basis)
-from .spectral import (_block_diagonal, _obc_chain_eigs, classify, eig,
+from .spectral import (_obc_chain_eigs, classify, eig,
                        obc_spectrum_via_chains, pbc_dispersion)
 
 CHAIN_RESIDUAL_GATE = 1e-10
@@ -148,36 +148,37 @@ def _diagonalizable(params, label):
 
 
 def _chain_route(params):
-    """Eigenvalues and the two chain eigenvector sets of a Generic node,
-    or None when the chain solve fails or misses CHAIN_RESIDUAL_GATE
-    max|E|. The chain residual is the ladder one up to rounding, since the
-    ladder vectors are W^+ P Z (W the unitary w basis, P a permutation,
-    Z the block-diagonal chain vectors)."""
+    """Per chain (lam, Y, X, residual) of _obc_chain_eigs at a Generic
+    node, and whether both residuals pass CHAIN_RESIDUAL_GATE max|E|;
+    None when the chain solve raises Overflow or LinAlgError."""
     with contextlib.suppress(Overflow, np.linalg.LinAlgError), \
             np.errstate(all="ignore"):
-        (lam1, X1, r1), (lam2, X2, r2) = _obc_chain_eigs(params)
-        lam = np.concatenate([lam1, lam2])
-        gate = CHAIN_RESIDUAL_GATE * np.abs(lam).max()
-        if r1 <= gate and r2 <= gate:
-            return lam, (X1, X2)
+        chains = _obc_chain_eigs(params)
+        gate = CHAIN_RESIDUAL_GATE * max(np.abs(lam).max()
+                                         for lam, _, _, _ in chains)
+        return chains, all(r <= gate for _, _, _, r in chains)
     return None
 
 
 def _dipr_node(params, label):
-    """(mean dIPR, defective) of one OBC node, from the eigenpairs of
-    _chain_route where it gives them, else from dense eig. defective is
-    False where the chain structure proves the node diagonalizable, else
-    the numerical test, run on Z on the chain route: Z has the singular
-    values of the ladder vectors W^+ P Z."""
+    """(mean dIPR, defective) of one OBC node. Where the chains solve,
+    defective is tested per chain on the balanced vectors Y (balancing is
+    a diagonal similarity) unless the chain structure proves the node
+    diagonalizable, and the mean comes from the chain vectors X if they
+    pass the gate, else from dense eig. Elsewhere dense eig gives both."""
     diagonalizable = _diagonalizable(params, label)
-    chains = _chain_route(params) if label == GENERIC else None
-    if chains is None:
+    route = _chain_route(params) if label == GENERIC else None
+    if route is None:
         res = eig(build_realspace(params), want_vectors=True)
         return mean_dipr(res, params.L), not diagonalizable and \
             _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
-    lam, blocks = chains
-    return _mean_dipr_chains(blocks), not diagonalizable and \
-        _defective_from(lam, _block_diagonal(*blocks), 1e-6)
+    chains, gated = route
+    defective = not diagonalizable and \
+        any(_defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
+    if gated:
+        return _mean_dipr_chains([X for _, _, X, _ in chains]), defective
+    res = eig(build_realspace(params), want_vectors=True)
+    return mean_dipr(res, params.L), defective
 
 
 def dipr_map(spec):
@@ -206,7 +207,8 @@ def dipr_map(spec):
 
 def mipr_map(spec, t_max=20.0, n_steps=200):
     """Displacement IPR of the evolved center-cell state at t_max per
-    node; Overflow is recorded as a row marker.
+    node; Overflow is recorded as a row marker. A bad t_max or n_steps
+    raises ValueError before any node is computed.
 
     The state evolves on the two L x L NH-SSH chains of build_nhssh, not
     on the 2L x 2L ladder: in the w basis W the balanced ladder is
@@ -220,6 +222,7 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
     final mIPR are computed on the fly (_final_mipr_and_support). A
     failure stays at its node.
     """
+    times = _time_grid(t_max, n_steps)
     t0_vals, gbar_vals = grid_axes(spec)
     L = spec.L
     W = w_basis(L)
@@ -233,7 +236,6 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
                 params = _node_params(spec, t0, gbar, spec.boundary)
                 chains = np.stack(build_nhssh(params))
                 _require_finite(chains)
-                times = _time_grid(t_max, n_steps)
                 U[len(built)] = _step_propagator(chains, times)
                 built.append((i, nhssh_permutation(params),
                               classify_point(params).label))

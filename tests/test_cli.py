@@ -214,6 +214,21 @@ class TestClassifyCommand:
         assert data["degeneracy"]["label"] == "Generic"
         assert data["degeneracy"]["blocks"] == []
 
+    # the benchmark's fixed EFB-line points (g0, t0, gbar), |t0| != tbar.
+    # H^2 = 0 and rank H = L, but at the last two sigma_L is 1.6e-15 and
+    # 2.0e-15 at L = 32, below the numerical certifier's rank cut
+    @pytest.mark.parametrize("g0, t0, gbar", [
+        (1.0, 0.4, 0.4), (-1.0, -0.3, 0.3), (1.0, -1.2, -1.2),
+        (-1.0, 0.8, -0.8)])
+    def test_efb_line_blocks(self, tmp_path, capsys, g0, t0, gbar):
+        assert run(tmp_path, ["classify", "--t0", str(t0), "--gbar",
+                              str(gbar), "--g0", str(g0), "--L", "32"]) == 0
+        report = json.loads(capsys.readouterr().out)["degeneracy"]
+        assert report["label"] == "EFBLine"
+        assert report["blocks"] == [{"eig_re": 0.0, "eig_im": 0.0,
+                                     "sizes": [2] * 32}]
+        assert report["defective"] is True
+
 
 class TestEvolveCommand:
     def test_trace_csv(self, tmp_path, capsys):

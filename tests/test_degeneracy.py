@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from nhcreutz import (
     nilpotency_order,
     obc_eig_via_chains,
 )
+from nhcreutz.cli import main
 from nhcreutz.degeneracy import _defective_from
 
 
@@ -190,69 +192,89 @@ class TestJordanStructure:
         assert jordan_structure(H, lam) == (3, 4)
         assert jordan_structure(H, -lam) == (3, 4)
 
-    def test_ladder_exceptional_line_exact_ranks(self):
-        # the same point in exact arithmetic: the rank sequences of
-        # (H - lam)^k prove the block structures that the numerical
-        # certifier reports, independently of any tolerance
+    def test_ladder_exceptional_line_exact_ranks(self, capsys):
+        # exact arithmetic: the rank sequences of (H - lam)^k prove the
+        # block structures that classify reports, independently of any
+        # tolerance. Inputs: the ELu point above, where classify runs the
+        # numerical certifier, and an EFB-line point at L = 32, where
+        # sigma_L = 1.6e-15 lies below the certifier's rank cut and
+        # classify reports the closed form
         sympy = pytest.importorskip("sympy")
         from sympy.polys.matrices import DomainMatrix
 
         R, QI = sympy.Rational, sympy.QQ_I
-        tbar, t0, gbar, g0, L = 1, R(3, 10), R(4, 5), R(1, 2), 8
-        n = 2 * L
-        i, c = QI(0, 1), QI.convert
-        rows = [[QI.zero] * n for _ in range(n)]
-        # entry layout of build_realspace, OBC, balanced legs
-        for j in range(L - 1):
-            a, b, ap, bp = 2 * j, 2 * j + 1, 2 * j + 2, 2 * j + 3
-            rows[ap][a] += -i * c(tbar + gbar)
-            rows[a][ap] += i * c(tbar - gbar)
-            rows[bp][b] += i * c(tbar + gbar)
-            rows[b][bp] += -i * c(tbar - gbar)
-            rows[ap][b] += -c(t0 + g0)
-            rows[bp][a] += -c(t0 + g0)
-            rows[a][bp] += -c(t0 - g0)
-            rows[b][ap] += -c(t0 - g0)
-        H = build_realspace(params(t0=0.3, gbar=0.8, g0=0.5, L=L))
-        H_num = np.array([[complex(e.x, e.y) for e in row] for row in rows])
-        assert np.max(np.abs(H_num - H)) <= 1e-15
+        lam = sympy.sqrt(R(2, 5))  # irrational: ranks over Q(sqrt(10))
+        cases = [
+            ((R(3, 10), R(4, 5), R(1, 2), 8),
+             [(sympy.S.Zero, [15, 14, 14], (2,)),
+              (lam, [14, 12, 10, 9, 9], (3, 4)),
+              (-lam, [14, 12, 10, 9, 9], (3, 4))]),
+            # |t0| != tbar on the EFB line: H^2 = 0 and rank H = L
+            ((R(-6, 5), R(-6, 5), R(1), 32),
+             [(sympy.S.Zero, [32, 0], (2,) * 32)]),
+        ]
+        tbar = 1
+        for (t0, gbar, g0, L), expected in cases:
+            n = 2 * L
+            i, c = QI(0, 1), QI.convert
+            rows = [[QI.zero] * n for _ in range(n)]
+            # entry layout of build_realspace, OBC, balanced legs
+            for j in range(L - 1):
+                a, b, ap, bp = 2 * j, 2 * j + 1, 2 * j + 2, 2 * j + 3
+                rows[ap][a] += -i * c(tbar + gbar)
+                rows[a][ap] += i * c(tbar - gbar)
+                rows[bp][b] += i * c(tbar + gbar)
+                rows[b][bp] += -i * c(tbar - gbar)
+                rows[ap][b] += -c(t0 + g0)
+                rows[bp][a] += -c(t0 + g0)
+                rows[a][bp] += -c(t0 - g0)
+                rows[b][ap] += -c(t0 - g0)
+            point = [float(t0), float(gbar), float(g0)]
+            H = build_realspace(params(t0=point[0], gbar=point[1],
+                                       g0=point[2], L=L))
+            H_num = np.array([[complex(e.x, e.y) for e in row]
+                              for row in rows])
+            assert np.max(np.abs(H_num - H)) <= 1e-15
 
-        # lam = sqrt(2/5) is irrational; the diagonal similarity
-        # a_j -> i^j a_j, b_j -> i^(j+1) b_j makes every entry real, so the
-        # ranks at 0 and +-lam are computed over Q(sqrt(10))
-        d = [i ** (j // 2 + j % 2) for j in range(n)]
-        gauged = [[rows[x][y] * d[y] / d[x] for y in range(n)]
-                  for x in range(n)]
-        assert all(e.y == 0 for row in gauged for e in row)
-        K = sympy.QQ.algebraic_field(sympy.sqrt(10))
-        G = DomainMatrix([[K.convert(e.x) for e in row] for row in gauged],
-                         (n, n), K).to_sparse()
+            # the diagonal similarity a_j -> i^j a_j, b_j -> i^(j+1) b_j
+            # makes every entry real
+            d = [i ** (j // 2 + j % 2) for j in range(n)]
+            gauged = [[rows[x][y] * d[y] / d[x] for y in range(n)]
+                      for x in range(n)]
+            assert all(e.y == 0 for row in gauged for e in row)
+            K = sympy.QQ.algebraic_field(sympy.sqrt(10))
+            G = DomainMatrix([[K.convert(e.x) for e in row]
+                              for row in gauged], (n, n), K).to_sparse()
 
-        def exact_ranks(lam, kmax):
-            A = G - DomainMatrix.eye(n, K) * K.from_sympy(lam)
-            ranks, P = [], A
-            for _ in range(kmax):
-                ranks.append(P.rank())
-                P = P * A
-            return ranks
+            def exact_ranks(lam, kmax):
+                A = G - DomainMatrix.eye(n, K) * K.from_sympy(lam)
+                ranks, P = [], A
+                for _ in range(kmax):
+                    ranks.append(P.rank())
+                    P = P * A
+                return ranks
 
-        def blocks(ranks):
-            # number of blocks of size >= k is r_{k-1} - r_k
-            r = [n] + ranks
-            at_least = [r[k - 1] - r[k] for k in range(1, len(r))] + [0]
-            return tuple(sorted(
-                size for size in range(1, len(ranks) + 1)
-                for _ in range(at_least[size - 1] - at_least[size])))
+            def blocks(ranks):
+                # number of blocks of size >= k is r_{k-1} - r_k
+                r = [n] + ranks
+                at_least = [r[k - 1] - r[k] for k in range(1, len(r))] + [0]
+                return tuple(sorted(
+                    size for size in range(1, len(ranks) + 1)
+                    for _ in range(at_least[size - 1] - at_least[size])))
 
-        lam = sympy.sqrt(R(2, 5))
-        r_zero = exact_ranks(sympy.S.Zero, 3)
-        r_plus = exact_ranks(lam, 5)
-        r_minus = exact_ranks(-lam, 5)
-        assert r_zero == [15, 14, 14]
-        assert r_plus == r_minus == [14, 12, 10, 9, 9]
-        assert blocks(r_zero) == jordan_structure(H, 0.0) == (2,)
-        assert blocks(r_plus) == jordan_structure(H, float(lam)) == (3, 4)
-        assert blocks(r_minus) == jordan_structure(H, -float(lam)) == (3, 4)
+            argv = ["classify", "--t0", repr(point[0]), "--gbar",
+                    repr(point[1]), "--g0", repr(point[2]), "--L", str(L)]
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)["degeneracy"]
+            assert report["defective"] is True
+            reported = {complex(b["eig_re"], b["eig_im"]): tuple(b["sizes"])
+                        for b in report["blocks"]}
+            assert len(reported) == len(expected)
+            for ev, ranks, sizes in expected:
+                assert exact_ranks(ev, len(ranks)) == ranks
+                assert blocks(ranks) == sizes
+                assert [sz for e, sz in reported.items()
+                        if abs(e - float(ev)) <= 1e-9] == [sizes]
 
     def test_ladder_efb(self):
         H = build_realspace(params(t0=0.7, gbar=0.7, g0=1.0, L=8))
@@ -337,15 +359,15 @@ class TestDefectiveness:
             defective_reference(eigs, vecs, 1e-6) is True
 
     def test_sweep_node_with_non_finite_vector(self, monkeypatch):
-        # a mixed-sign Generic node, so the numerical test runs; the
-        # vector is poisoned after the residual gate
+        # a mixed-sign Generic node, so the numerical test runs on the
+        # balanced vectors Y; one is poisoned after the residual gate
         chain_route = sweep._chain_route
 
         def poisoned(params):
-            lam, (X1, X2) = chain_route(params)
-            X1 = X1.copy()
-            X1[:, 3] = np.nan
-            return lam, (X1, X2)
+            ((lam, Y, X, r), second), gated = chain_route(params)
+            Y = Y.copy()
+            Y[:, 3] = np.nan
+            return ((lam, Y, X, r), second), gated
 
         monkeypatch.setattr(sweep, "_chain_route", poisoned)
         s = GridSpec(t0_range=(0.49, 0.5, 2), gbar_range=(-0.32, -0.31, 2),

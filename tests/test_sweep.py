@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nhcreutz.sweep as sweep
-from nhcreutz.degeneracy import GENERIC
+from nhcreutz.degeneracy import GENERIC, _defective_from
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.spectral import _obc_chain_eigs
 from nhcreutz import (
@@ -24,6 +24,7 @@ from nhcreutz import (
     eig,
     grid_axes,
     initial_state,
+    is_defective,
     mean_dipr,
     mipr_map,
     obc_eig_via_chains,
@@ -242,8 +243,22 @@ def chain_residual_ratio(p):
     except (Overflow, np.linalg.LinAlgError):
         return np.inf
     lam = np.concatenate([c[0] for c in chains])
-    return max(c[2] for c in chains) \
+    return max(c[3] for c in chains) \
         / (sweep.CHAIN_RESIDUAL_GATE * np.abs(lam).max())
+
+
+def chain_gate(p):
+    """The gate decision of sweep._chain_route: True when the chains
+    solve and pass CHAIN_RESIDUAL_GATE."""
+    route = sweep._chain_route(p)
+    return route is not None and route[1]
+
+
+def chain_vectors(p):
+    """The unit chain eigenvectors X of a node that passes the gate."""
+    chains, gated = sweep._chain_route(p)
+    assert gated
+    return [X for _, _, X, _ in chains]
 
 
 class TestDiprMap:
@@ -264,8 +279,7 @@ class TestDiprMap:
                                       g0=0.5, L=10)
             dense = mean_dipr(eig(build_realspace(p), want_vectors=True), 10)
             if r.degeneracy_label == GENERIC:
-                _, blocks = sweep._chain_route(p)
-                assert r.mean_dipr == _mean_dipr_chains(blocks)
+                assert r.mean_dipr == _mean_dipr_chains(chain_vectors(p))
                 assert r.mean_dipr == pytest.approx(
                     mean_dipr(obc_eig_via_chains(p), 10), abs=1e-14)
             else:
@@ -323,7 +337,7 @@ class TestDiprMap:
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
         assert classify_point(p).label == GENERIC
         assert chain_residual_ratio(p) > 10.0
-        assert sweep._chain_route(p) is None
+        assert not chain_gate(p)
         dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
         assert sweep._dipr_node(p, GENERIC) == (dense, False)
 
@@ -331,7 +345,7 @@ class TestDiprMap:
     def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
         # where the chain solve passes the gate, the row is its average
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
-        _, blocks = sweep._chain_route(p)
+        blocks = chain_vectors(p)
         s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
                      gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=L)
         row = dipr_map(s)[0]
@@ -370,16 +384,67 @@ class TestDiprMap:
                 assert r.defective is False
         assert (0.3, -2.0) in same_sign
 
+    def test_mixed_sign_edge_pair_not_defective(self):
+        # mixed-sign tile (u^2 v^2 < 0, L/2 odd). At (t0, gbar) = (-0.3784,
+        # -1.831), g0 = -0.859, chain one's closest pair is an edge pair
+        # +-6.0e-11, far inside the clustering radius 1e-6 max|E|. It is
+        # distinct: det T = +-(product of alternate bond products) != 0 at
+        # Generic nodes. Its unit chain vectors X are nearly parallel (the
+        # envelope), so a test on X calls the node defective; its balanced
+        # vectors Y are not, and the balancing is a similarity
+        s = GridSpec(t0_range=(-0.3784, -0.2784, 3),
+                     gbar_range=(-1.831, -1.731, 3), g0=-0.859, L=50)
+        rows = dipr_map(s)
+        assert [(r.degeneracy_label, r.defective) for r in rows] \
+            == [(GENERIC, False)] * 9
+        p = ModelParams.from_bars(tbar=1.0, t0=-0.3784, gbar=-1.831,
+                                  g0=-0.859, L=50)
+        d = derive(p)
+        assert d.u2 * d.v2 < 0.0
+        (lam, Y, X, _), _ = _obc_chain_eigs(p)
+        gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(len(lam), np.inf))
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        eps = abs(lam[i])
+        assert 5e-11 < eps < 7e-11
+        assert abs(lam[i] + lam[j]) <= 1e-6 * eps
+        assert gaps[i, j] <= 1e-6 * np.abs(lam).max()
+        assert _defective_from(lam, X, 1e-6)
+        assert not _defective_from(lam, Y, 1e-6)
+
+    @pytest.mark.parametrize("gbar, defective", [
+        (0.9144317303652489, True), (0.9144317303652489 + 1e-9, False)])
+    def test_finite_size_exceptional_point(self, gbar, defective):
+        # L = 8, g0 = 0: chain one (u^2 > 0 > v^2, L/2 = 4 even) has an EP
+        # at |u/v| = 1.55303; 1e-9 off it the pair splits and the node is
+        # diagonalizable. The chain test agrees with dense is_defective
+        p = ModelParams.from_bars(tbar=1.0, t0=0.5, gbar=gbar, g0=0.0, L=8)
+        s = GridSpec(t0_range=(0.5, 0.6, 2), gbar_range=(gbar, gbar + 0.1, 2),
+                     g0=0.0, L=8)
+        row = dipr_map(s)[0]
+        assert (row.degeneracy_label, row.status) == (GENERIC, "ok")
+        assert row.defective is defective
+        assert is_defective(build_realspace(p)) is defective
+        d = derive(p)
+        assert abs((d.u2 / -d.v2) ** 0.5 - 1.55303) <= 1e-5
+
+
+def ladder_residual(res, p):
+    """max_n ||H v_n - E_n v_n|| of the ladder vectors of res on the dense
+    ladder H."""
+    V = res.right_eigenvectors
+    return np.linalg.norm(build_realspace(p) @ V - V * res.eigenvalues,
+                          axis=0).max()
+
 
 def ladder_gate(p):
     """The residual gate as taken on the ladder vectors of
-    obc_eig_via_chains: True when they pass it."""
+    obc_eig_via_chains and the dense ladder: True when they pass it."""
     try:
         with np.errstate(all="ignore"):
             res = obc_eig_via_chains(p)
     except (Overflow, np.linalg.LinAlgError):
         return False
-    return bool(res.residual_max <= sweep.CHAIN_RESIDUAL_GATE
+    return bool(ladder_residual(res, p) <= sweep.CHAIN_RESIDUAL_GATE
                 * np.abs(res.eigenvalues).max())
 
 
@@ -417,23 +482,24 @@ class TestChainRoute:
                 chains = _obc_chain_eigs(p)
                 ladder = obc_eig_via_chains(p)
             scale = np.abs(ladder.eigenvalues).max()
-            assert abs(max(r for _, _, r in chains) - ladder.residual_max) \
-                <= 1e-12 * scale
-            direct = _mean_dipr_chains([X for _, X, _ in chains])
+            residual = max(r for _, _, _, r in chains)
+            assert ladder.residual_max == residual
+            assert abs(residual - ladder_residual(ladder, p)) <= 1e-12 * scale
+            direct = _mean_dipr_chains([X for _, _, X, _ in chains])
             assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
-            assert (sweep._chain_route(p) is not None) == ladder_gate(p)
+            assert chain_gate(p) == ladder_gate(p)
 
     @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
     def test_gate_unchanged_near_exceptional_lines(self, t0, gbar, L):
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
-        assert sweep._chain_route(p) is None
+        assert not chain_gate(p)
         assert not ladder_gate(p)
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_gate_passes_near_exceptional_lines(self, t0, gbar, g0, L):
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
         assert chain_residual_ratio(p) < 0.1
-        assert sweep._chain_route(p) is not None
+        assert chain_gate(p)
         assert ladder_gate(p)
 
 
@@ -507,6 +573,15 @@ class TestMiprMap:
                         t_max=5.0, n_steps=10)
         assert [r.status for r in rows] == ["ValueError"] * 4
         assert all(r.mipr_final is None for r in rows)
+
+    @pytest.mark.parametrize("t_max, n_steps", [
+        (-1.0, 20), (0.0, 20), (float("inf"), 20), (5.0, 0), (5.0, 2.5)])
+    def test_bad_time_arguments_raise(self, t_max, n_steps):
+        # validated once before the grid walk, as in propagate, not
+        # recorded as a ValueError status at every node
+        with pytest.raises(ValueError):
+            mipr_map(spec(lo=0.2, hi=0.8, n=2, L=10), t_max=t_max,
+                     n_steps=n_steps)
 
     @pytest.mark.parametrize("fault, status", [
         ("raise", "ConvergenceFailure"),
