@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .degeneracy import (EFB_LINE, classify_point, is_defective,
+from .degeneracy import (classify_point, closed_form_blocks, is_defective,
                          jordan_structure)
 from .dynamics import _row_norms, initial_state, propagate
 from .errors import IllConditioned, NhcreutzError
@@ -166,7 +166,9 @@ def build_parser():
                    help="leg amplitudes WA,WB of the start cell")
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--n-steps", type=int, default=200)
-    p.add_argument("--method", choices=("auto", "eig", "expm"), default="auto")
+    p.add_argument("--method", choices=("auto", "eig", "expm"), default="auto",
+                   help="auto and expm step with the one-step exponential; "
+                        "eig expands in the eigenbasis (fails at defective H)")
     p.add_argument("--self-check", action="store_true",
                    help="cross-validate the trace against an independent "
                         "reconstruction; nonzero exit on mismatch")
@@ -191,14 +193,16 @@ def _merge_dash_values(argv):
     return out
 
 
-def _config_defaults(path, sp, parser):
-    """Parse a key=value file into converted defaults for one subparser."""
-    actions = {a.dest: a for a in sp._actions if a.option_strings}
+def _config_flags(path, sp, parser):
+    """The key=value lines of a config file as flags of the subparser sp:
+    --flag=value, or the bare flag for a true boolean."""
+    actions = {a.dest: a for a in sp._actions
+               if a.option_strings and a.dest not in _SKIP_DESTS}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    out = {}
+    flags = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -206,29 +210,17 @@ def _config_defaults(path, sp, parser):
         if "=" not in line:
             parser.error(f"config: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        dest = key.lstrip("-").replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in _SKIP_DESTS:
+        action = actions.get(key.lstrip("-").replace("-", "_"))
+        if action is None:
             parser.error(f"config: unknown key {key!r}")
-        if action.nargs == 0:  # store_true flag
-            low = val.lower()
-            if low in ("1", "true", "yes", "on"):
-                out[dest] = True
-            elif low in ("0", "false", "no", "off"):
-                out[dest] = False
-            else:
-                parser.error(f"config: bad boolean for {key!r}: {val!r}")
-            continue
-        conv = action.type or str
-        try:
-            value = conv(val)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"config: bad value for {key!r}: {exc}")
-        if action.choices and value not in action.choices:
-            parser.error(f"config: {key!r} must be one of "
-                         f"{tuple(action.choices)}")
-        out[dest] = value
-    return out
+        flag = max(action.option_strings, key=len)
+        if action.nargs != 0:
+            flags.append(f"{flag}={val}")
+        elif val.lower() in ("1", "true", "yes", "on"):  # store_true flag
+            flags.append(flag)
+        elif val.lower() not in ("0", "false", "no", "off"):
+            parser.error(f"config: bad boolean for {key!r}: {val!r}")
+    return flags
 
 
 def _unparse(dest, value):
@@ -238,8 +230,6 @@ def _unparse(dest, value):
         return f"{value[0]!r}:{value[1]!r}"
     if dest == "weights":
         return ",".join(repr(c) for c in value)
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -437,31 +427,26 @@ def cmd_classify(ns, sp):
         c1, c2 = obc_spectrum_via_chains(params)
         eigs = np.concatenate([c1, c2])
     cls = classify(eigs, tol_abs=1e-9 * float(np.abs(eigs).max()))
-    jordan = []
-    defective = None
-    if report.label == EFB_LINE:
-        # H^2 = 0 and rank H = L exactly (README), while sigma_L can fall
-        # below any rank cut
-        jordan, defective = [(0j, (2,) * ns.L)], True
-    elif report.lam is not None:
+    # every closed form has a block of size 2
+    jordan, defective = closed_form_blocks(report, ns.L), True
+    if jordan is None and report.lam is None:
+        jordan, defective = (), None
+    elif jordan is None:  # the numerical route
         H = build_realspace(_params(ns, OBC))
-        if 2 * ns.L <= 64:
-            seen = []
-            for cand in (report.lam, -report.lam, 0j):
-                if any(abs(cand - s) <= 1e-12 * (1.0 + abs(cand))
-                       for s in seen):
-                    continue
-                seen.append(cand)
-                try:
-                    sizes = jordan_structure(H, cand)
-                except IllConditioned:
-                    continue
-                if sizes:
-                    jordan.append((cand, sizes))
-            if jordan:
-                defective = any(s >= 2 for _, sz in jordan for s in sz)
-        if defective is None:
-            defective = is_defective(H)
+        jordan, seen = [], []
+        cands = (report.lam, -report.lam, 0j) if 2 * ns.L <= 64 else ()
+        for cand in cands:
+            if any(abs(cand - s) <= 1e-12 * (1.0 + abs(cand)) for s in seen):
+                continue
+            seen.append(cand)
+            try:
+                sizes = jordan_structure(H, cand)
+            except IllConditioned:
+                continue
+            if sizes:
+                jordan.append((cand, sizes))
+        defective = any(s >= 2 for _, sz in jordan for s in sz) if jordan \
+            else is_defective(H)
     report = replace(report, jordan=tuple(jordan), defective=defective)
     payload = {"config": _config_dict(ns, sp),
                "degeneracy": report.to_dict(),
@@ -524,10 +509,9 @@ def main(argv=None):
     try:
         ns = parser.parse_args(argv)
         if ns.command and ns.config:
-            # config values become defaults: set them on a parser of its own
-            parser, subs = build_parser()
-            subs[ns.command].set_defaults(
-                **_config_defaults(ns.config, subs[ns.command], parser))
+            # the file's flags go ahead of the command line's, which win
+            at = argv.index(ns.command) + 1
+            argv[at:at] = _config_flags(ns.config, subs[ns.command], parser)
             ns = parser.parse_args(argv)
         _validate(ns, parser)
     except SystemExit as exc:

@@ -129,11 +129,35 @@ def jordan_structure(H, lam, tol_rank=None):
             break
         P = (P / smax) @ B
     n_geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    # n_geq[k - 1] counts the blocks of size >= k, so it never increases
+    if any(b > a for a, b in zip(n_geq, n_geq[1:])):
+        raise IllConditioned(f"rank drops increase along ranks {ranks}")
     n_geq.append(0)
     sizes = []
     for k in range(1, len(n_geq)):
         sizes.extend([k] * max(0, n_geq[k - 1] - n_geq[k]))
     return tuple(sorted(sizes))
+
+
+def closed_form_blocks(report, L):
+    """Exact Jordan blocks ((eigenvalue, sizes), ...) of the OBC ladder at
+    even L on the labels below, else None; exact ranks back each (tests).
+      EFBLine: H^2 = 0 and rank H = L, so L blocks of size 2 at 0.
+      TriplePoint: two blocks of size L at 0.
+      ELu (u = 0, v != 0): (L/2 - 1, L/2) at each of +-v, (2,) at 0.
+      ELv: the same with u for v.
+    A numerical rank cut misses them once a size-m block splits its
+    eigenvalue by eps^(1/m). The order is that of the classify command."""
+    if L % 2:
+        return None
+    if report.label == EFB_LINE:
+        return ((0j, (2,) * L),)
+    if report.label == TRIPLE_POINT:
+        return ((0j, (L, L)),)
+    if report.label in (EL_U, EL_V):
+        sizes = tuple(s for s in (L // 2 - 1, L // 2) if s)
+        return ((report.lam, sizes), (-report.lam, sizes), (0j, (2,)))
+    return None
 
 
 def _defective_from(eigs, vecs, tol):

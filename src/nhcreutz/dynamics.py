@@ -10,7 +10,6 @@ from .spectral import eig
 
 # raw stored states carry the accumulated norm; cap it below float range
 _LOG_NORM_MAX = math.log(1e300)
-_EVEC_CONDITION_MAX = 1e6
 # states per support-counting pass of the mIPR map, (B, 16, 2, L) at most
 _SUPPORT_CHUNK = 16
 
@@ -215,15 +214,15 @@ def _final_mipr_and_support(U, z0, times, legs):
     return mipr_final, max_support, failed
 
 
-def _propagate_eig(H, psi0, times, L, res=None):
-    if res is None:
-        res = eig(H, want_vectors=True)
-    V = res.right_eigenvectors
-    E = res.eigenvalues
+def _propagate_eig(H, psi0, times, L):
+    res = eig(H, want_vectors=True)
+    V, E = res.right_eigenvectors, res.eigenvalues
     try:
         c = np.linalg.solve(V, psi0)
     except np.linalg.LinAlgError:
         raise IllConditioned("eigenvector matrix is numerically singular")
+    if not np.isfinite(c).all():  # e.g. at a defective H
+        raise IllConditioned("eigen-expansion of the state is not finite")
     with np.errstate(divide="ignore"):
         logc = np.log(np.abs(c))
     # the expansion at every time t_1..t_T at once: row k is time t_{k+1}
@@ -295,17 +294,13 @@ def _time_grid(t_max, n_steps):
 def propagate(H, psi0, t_max, n_steps, method="auto"):
     """Evolve psi0 under exp(-iHt) on a uniform grid of n_steps intervals.
 
-    method "eig" expands in the right eigenbasis (cheap per step, needs a
-    well-conditioned basis), "expm" steps with a fixed matrix exponential,
-    "auto" picks eig when the eigenvector condition number is below 1e6.
+    method "auto" and "expm" step with the one-step matrix exponential,
+    which needs no eigenbasis, so it holds at a defective H too. "eig"
+    expands in the right eigenbasis, an independent check of the stepper
+    where that basis is well conditioned; IllConditioned where it fails.
     The returned trace holds raw states; norms are accumulated in log space
     and an Overflow is raised past 1e300.
     """
     H, psi0, times = _evolution_inputs(H, psi0, t_max, n_steps, method)
-    L = H.shape[0] // 2
-    if method == "expm":
-        return _propagate_expm(H, psi0, times, L)
-    res = eig(H, want_vectors=True)
-    if method == "eig" or res.evec_condition < _EVEC_CONDITION_MAX:
-        return _propagate_eig(H, psi0, times, L, res)
-    return _propagate_expm(H, psi0, times, L)
+    route = _propagate_eig if method == "eig" else _propagate_expm
+    return route(H, psi0, times, H.shape[0] // 2)

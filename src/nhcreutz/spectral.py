@@ -1,7 +1,6 @@
 """Analytic dispersions, dense eigensolves, spectral classification, and
 complex-plane area of the PBC bands."""
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -343,29 +342,20 @@ def obc_eig_via_chains(params):
                           evec_condition=math.inf)
 
 
-def _curve_distance_one(E, u, v):
-    uv2 = 2.0 * u * v
-    if abs(uv2) < 1e-300:
-        c = cmath.sqrt(u * u + v * v)
-        return min(abs(E - c), abs(E + c))
-    z = (E * E - u * u - v * v) / uv2
-    zr = min(1.0, max(-1.0, z.real))
-    best = math.inf
-    for zz in (zr, -1.0, 1.0):
-        c = cmath.sqrt(u * u + v * v + uv2 * zz)
-        best = min(best, abs(E - c), abs(E + c))
-    return best
-
-
 def obc_curve_distance(E, u, v):
     """Distance upper bound from E to the OBC bulk curve
-    {+-sqrt(u^2 + v^2 + 2 u v cos q)}, by inverting cos q analytically.
-    Scalar in, float out; array in, array out."""
-    Ea = np.asarray(E, dtype=complex)
-    if Ea.ndim == 0:
-        return _curve_distance_one(complex(Ea), u, v)
-    return np.array([_curve_distance_one(complex(e), u, v)
-                     for e in Ea.ravel()]).reshape(Ea.shape)
+    {+-sqrt(u^2 + v^2 + 2 u v cos q)}, by inverting cos q analytically and
+    also trying the band ends cos q = -1, 1. Scalar in, float out; array
+    in, array out."""
+    E = np.asarray(E, dtype=complex)
+    s, uv2 = u * u + v * v, 2.0 * u * v
+    # cos q inverted; where uv2 vanishes the curve is +-sqrt(s) for any q
+    z = (E * E - s) / uv2 if abs(uv2) >= 1e-300 else np.zeros(E.shape)
+    cos_q = np.clip(z.real, -1.0, 1.0)
+    c = np.sqrt(s + uv2 * np.stack([cos_q, np.full(E.shape, -1.0),
+                                    np.full(E.shape, 1.0)]))
+    dist = np.minimum(np.abs(E - c), np.abs(E + c)).min(axis=0)
+    return float(dist) if E.ndim == 0 else dist
 
 
 def enclosed_area(params, n_k=256):

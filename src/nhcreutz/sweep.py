@@ -8,7 +8,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .degeneracy import GENERIC, _defective_from, classify_point
+from .degeneracy import (GENERIC, _defective_from, classify_point,
+                         closed_form_blocks)
 from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
 from .errors import Overflow
@@ -160,24 +161,28 @@ def _chain_route(params):
     return None
 
 
-def _dipr_node(params, label):
-    """(mean dIPR, defective) of one OBC node. Where the chains solve,
-    defective is tested per chain on the balanced vectors Y (balancing is
-    a diagonal similarity) unless the chain structure proves the node
-    diagonalizable, and the mean comes from the chain vectors X if they
-    pass the gate, else from dense eig. Elsewhere dense eig gives both."""
-    diagonalizable = _diagonalizable(params, label)
-    route = _chain_route(params) if label == GENERIC else None
-    if route is None:
-        res = eig(build_realspace(params), want_vectors=True)
-        return mean_dipr(res, params.L), not diagonalizable and \
-            _defective_from(res.eigenvalues, res.right_eigenvectors, 1e-6)
-    chains, gated = route
-    defective = not diagonalizable and \
-        any(_defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
-    if gated:
-        return _mean_dipr_chains([X for _, _, X, _ in chains]), defective
+def _dipr_node(params, report):
+    """(mean dIPR, defective) of one OBC node, given its classify_point
+    report. Where the chains solve, defective is tested per chain on the
+    balanced vectors Y (balancing is a diagonal similarity) unless the
+    chain structure proves the node diagonalizable, and the mean comes from
+    the chain vectors X if they pass the gate, else from dense eig.
+    Elsewhere dense eig gives the mean, and the dense vectors decide
+    defective unless closed_form_blocks knows the Jordan blocks."""
+    diagonalizable = _diagonalizable(params, report.label)
+    route = _chain_route(params) if report.label == GENERIC else None
+    if route is not None:
+        chains, gated = route
+        defective = not diagonalizable and \
+            any(_defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
+        if gated:
+            return _mean_dipr_chains([X for _, _, X, _ in chains]), defective
     res = eig(build_realspace(params), want_vectors=True)
+    if route is None:
+        # every closed form has a block of size 2: no vector test there
+        defective = closed_form_blocks(report, params.L) is not None or (
+            not diagonalizable and _defective_from(
+                res.eigenvalues, res.right_eigenvectors, 1e-6))
     return mean_dipr(res, params.L), defective
 
 
@@ -194,11 +199,12 @@ def dipr_map(spec):
         for t0 in t0_vals:
             try:
                 params = _node_params(spec, t0, gbar, OBC)
-                label = classify_point(params).label
-                value, dfc = _dipr_node(params, label)
+                report = classify_point(params)
+                value, dfc = _dipr_node(params, report)
                 out.append(GridRow(t0=t0, gbar=gbar, mean_dipr=value,
-                                   defective=dfc, degeneracy_label=label,
-                                   status=_status_flag(label)))
+                                   defective=dfc,
+                                   degeneracy_label=report.label,
+                                   status=_status_flag(report.label)))
             except Exception as exc:  # row-level marker, never abort the grid
                 out.append(GridRow(t0=t0, gbar=gbar,
                                    status=type(exc).__name__))

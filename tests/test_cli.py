@@ -229,6 +229,19 @@ class TestClassifyCommand:
                                      "sizes": [2] * 32}]
         assert report["defective"] is True
 
+    def test_exceptional_line_blocks_at_l32(self, tmp_path, capsys):
+        # the numerical certifier reported 21 blocks of size 6 at each of
+        # +-lam here (252 sites in a 64-dimensional matrix)
+        assert run(tmp_path, ["classify", "--t0", "-1.097", "--gbar",
+                              "-0.792", "--g0", "0.695", "--L", "32"]) == 0
+        report = json.loads(capsys.readouterr().out)["degeneracy"]
+        assert report["label"] == "ELu"
+        lam = complex(report["lambda_re"], report["lambda_im"])
+        assert [(complex(b["eig_re"], b["eig_im"]), b["sizes"])
+                for b in report["blocks"]] == [
+            (lam, [15, 16]), (-lam, [15, 16]), (0j, [2])]
+        assert report["defective"] is True
+
 
 class TestEvolveCommand:
     def test_trace_csv(self, tmp_path, capsys):
@@ -261,6 +274,14 @@ class TestEvolveCommand:
         # dark state: norm frozen at 1
         norms = {row.split(",")[4] for row in lines[2:]}
         assert norms == {"1.0"}
+
+    def test_eig_method_fails_at_defective_h(self, tmp_path, capsys):
+        # an exceptional flat band has no eigenbasis: exit 3, no nan trace
+        rc = run(tmp_path, ["evolve", "--t0", "0.7", "--gbar", "0.7",
+                            "--g0", "1.0", "-L", "12", "--method", "eig"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         rc = run(tmp_path, ["evolve", "--t0", "0", "--gbar", "4", "--g0",

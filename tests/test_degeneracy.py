@@ -26,7 +26,7 @@ from nhcreutz import (
     obc_eig_via_chains,
 )
 from nhcreutz.cli import main
-from nhcreutz.degeneracy import _defective_from
+from nhcreutz.degeneracy import _defective_from, closed_form_blocks
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8, **kw):
@@ -194,11 +194,11 @@ class TestJordanStructure:
 
     def test_ladder_exceptional_line_exact_ranks(self, capsys):
         # exact arithmetic: the rank sequences of (H - lam)^k prove the
-        # block structures that classify reports, independently of any
-        # tolerance. Inputs: the ELu point above, where classify runs the
-        # numerical certifier, and an EFB-line point at L = 32, where
-        # sigma_L = 1.6e-15 lies below the certifier's rank cut and
-        # classify reports the closed form
+        # block structures that classify reports in closed form,
+        # independently of any tolerance. Inputs: the ELu point above, an
+        # ELu point with rational lam = +-2/5 at L = 16, a triple point,
+        # and an EFB-line point at L = 32, where sigma_L = 1.6e-15 lies
+        # below the numerical certifier's rank cut
         sympy = pytest.importorskip("sympy")
         from sympy.polys.matrices import DomainMatrix
 
@@ -209,6 +209,14 @@ class TestJordanStructure:
              [(sympy.S.Zero, [15, 14, 14], (2,)),
               (lam, [14, 12, 10, 9, 9], (3, 4)),
               (-lam, [14, 12, 10, 9, 9], (3, 4))]),
+            # u = 0, v = 2/5: blocks (L/2 - 1, L/2) at +-v, (2,) at 0
+            ((R(1, 2), R(9, 10), R(3, 5), 16),
+             [(sympy.S.Zero, [31, 30, 30], (2,)),
+              (R(2, 5), [30, 28, 26, 24, 22, 20, 18, 17, 17], (7, 8)),
+              (R(-2, 5), [30, 28, 26, 24, 22, 20, 18, 17, 17], (7, 8))]),
+            # u = v = 0: two blocks of size L at 0
+            ((R(1, 2), R(1), R(1, 2), 8),
+             [(sympy.S.Zero, [14, 12, 10, 8, 6, 4, 2, 0], (8, 8))]),
             # |t0| != tbar on the EFB line: H^2 = 0 and rank H = L
             ((R(-6, 5), R(-6, 5), R(1), 32),
              [(sympy.S.Zero, [32, 0], (2,) * 32)]),
@@ -275,6 +283,28 @@ class TestJordanStructure:
                 assert blocks(ranks) == sizes
                 assert [sz for e, sz in reported.items()
                         if abs(e - float(ev)) <= 1e-9] == [sizes]
+
+    def test_rank_drops_never_increase(self):
+        # an ELu point at L = 32: the ranks of (H - lam)^k read 64, 62, 60,
+        # 58, 56, 54, 33, i.e. 21 blocks of size 6 at each of +-lam (252
+        # sites in 64 dimensions); the truth is blocks (15, 16)
+        p = params(t0=-1.097, gbar=-0.792, g0=0.695, L=32)
+        report = classify_point(p)
+        assert report.label == "ELu"
+        H = build_realspace(p)
+        for lam in (report.lam, -report.lam):
+            with pytest.raises(IllConditioned):
+                jordan_structure(H, lam)
+        assert closed_form_blocks(report, 32) == (
+            (report.lam, (15, 16)), (-report.lam, (15, 16)), (0j, (2,)))
+        # a triple point at L = 32: 30 blocks of size 18 at 0 (540 sites),
+        # where the truth is (32, 32)
+        p = params(t0=0.88, gbar=-1.0, g0=-0.88, L=32)
+        report = classify_point(p)
+        assert report.label == "TriplePoint"
+        with pytest.raises(IllConditioned):
+            jordan_structure(build_realspace(p), 0.0)
+        assert closed_form_blocks(report, 32) == ((0j, (32, 32)),)
 
     def test_ladder_efb(self):
         H = build_realspace(params(t0=0.7, gbar=0.7, g0=1.0, L=8))

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nhcreutz import dynamics
 from nhcreutz.dynamics import (_LOG_NORM_MAX, _evolution_inputs,
                                _step_stack, _trace_arrays)
 from nhcreutz import (
     OBC,
     PBC,
+    IllConditioned,
     ModelParams,
     OutOfRange,
     Overflow,
@@ -183,6 +185,35 @@ class TestPropagate:
         t2 = propagate(H, psi, 3.0, 30, method="expm")
         assert np.abs(t1.states - t2.states).max() < 1e-8
         assert np.abs(t1.norms - t2.norms).max() < 1e-8
+
+    def test_auto_steps_like_expm(self):
+        # a well-conditioned point (eigenvector condition 2.45): the default
+        # route is still the stepper, bit for bit
+        H = build_realspace(params(t0=0.8, gbar=0.4, g0=0.5, L=32))
+        psi = initial_state(32)
+        tr = propagate(H, psi, 20.0, 200)
+        ref = propagate(H, psi, 20.0, 200, method="expm")
+        for name in ("times", "states", "norms", "mipr_series",
+                     "support_series"):
+            assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_auto_never_diagonalizes(self, monkeypatch):
+        def no_eig(*args, **kwargs):
+            raise AssertionError("propagate called eig")
+
+        monkeypatch.setattr(dynamics, "eig", no_eig)
+        H = build_realspace(params(L=10))
+        tr = propagate(H, initial_state(10), 5.0, 20)
+        assert np.isfinite(tr.states).all()
+        with pytest.raises(AssertionError):
+            propagate(H, initial_state(10), 5.0, 20, method="eig")
+
+    def test_eig_raises_at_defective_h(self):
+        # an exceptional flat band, H^2 = 0: no eigenbasis exists, and the
+        # expansion must fail instead of returning nan states
+        H = build_realspace(params(t0=0.7, gbar=0.7, g0=1.0, L=12))
+        with pytest.raises(IllConditioned):
+            propagate(H, initial_state(12), 20.0, 200, method="eig")
 
     def test_efb_two_term_series(self):
         p = params(tbar=1.0, t0=0.7, gbar=0.7, g0=1.0, L=12)

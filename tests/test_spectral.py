@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from conftest import multiset_dist
@@ -426,6 +429,33 @@ class TestCurveGeometry:
         p = params(t0=0.8, gbar=0.4, g0=0.5)
         d = derive(p)
         assert obc_curve_distance(np.array([10.0 + 0j]), d.u, d.v)[0] > 1.0
+
+    def test_distance_equals_per_energy_loop(self):
+        def per_energy_distance(E, u, v):
+            # one energy at a time: cos q inverted with cmath, then the
+            # inverted value and the band ends cos q = -1, 1 tried in turn
+            uv2 = 2.0 * u * v
+            if abs(uv2) < 1e-300:
+                c = cmath.sqrt(u * u + v * v)
+                return min(abs(E - c), abs(E + c))
+            z = (E * E - u * u - v * v) / uv2
+            zr = min(1.0, max(-1.0, z.real))
+            best = math.inf
+            for zz in (zr, -1.0, 1.0):
+                c = cmath.sqrt(u * u + v * v + uv2 * zz)
+                best = min(best, abs(E - c), abs(E + c))
+            return best
+
+        rng = np.random.default_rng(11)
+        for i in range(2000):
+            u2, v2 = rng.uniform(-2.0, 2.0, 2)
+            u = cmath.sqrt(0.0 if i % 10 == 0 else u2)  # u = 0 included
+            v = cmath.sqrt(v2)
+            E = rng.normal(size=40) + 1j * rng.normal(size=40)
+            ref = [per_energy_distance(complex(e), u, v) for e in E]
+            assert np.abs(obc_curve_distance(E, u, v) - ref).max() <= 1e-14
+            one = obc_curve_distance(E[0], u, v)
+            assert type(one) is float and abs(one - ref[0]) <= 1e-14
 
     def test_area_zero_for_hermitian(self):
         assert enclosed_area(params(gbar=0.0, g0=0.0, boundary=PBC,

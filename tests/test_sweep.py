@@ -262,6 +262,17 @@ def chain_vectors(p):
 
 
 class TestDiprMap:
+    def test_exceptional_line_nodes_defective(self):
+        # at L = 50 a Jordan block of size up to 25 splits its eigenvalue
+        # far past the dense test's cluster radius, which read False at
+        # some of these nodes; the closed form reads True at every one
+        s = GridSpec(t0_range=(-2.0, 2.0, 21), gbar_range=(-2.0, 2.0, 21),
+                     g0=0.5, L=50, snap_special=True)
+        el = [r for r in dipr_map(s) if r.degeneracy_label in ("ELu", "ELv")]
+        assert len(el) == 8
+        assert all(r.defective is True and r.status == r.degeneracy_label
+                   for r in el)
+
     def test_values_match_direct(self):
         # each row equals the route dipr_map documents (the direct formula
         # on the chain eigenvectors at Generic nodes, dense eig on the
@@ -339,7 +350,7 @@ class TestDiprMap:
         assert chain_residual_ratio(p) > 10.0
         assert not chain_gate(p)
         dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
-        assert sweep._dipr_node(p, GENERIC) == (dense, False)
+        assert sweep._dipr_node(p, classify_point(p)) == (dense, False)
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
