@@ -11,16 +11,14 @@ import functools
 import json
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import svgplot
-from .degeneracy import (classify_point, closed_form_blocks, is_defective,
-                         jordan_structure)
+from .degeneracy import classify_point, obc_tol_abs, resolve_structure
 from .dynamics import _row_norms, initial_state, propagate
-from .errors import IllConditioned, NhcreutzError
+from .errors import NhcreutzError
 from .gauge import gauge_report
 from .model import OBC, PBC, ModelParams, build_realspace
 from .spectral import classify, eig, obc_spectrum_via_chains, pbc_dispersion
@@ -417,42 +415,20 @@ def cmd_mipr(ns, sp):
 
 def cmd_classify(ns, sp):
     params = _params(ns, ns.boundary)
-    report = classify_point(params)
+    report = resolve_structure(params, classify_point(params))
     gr = gauge_report(params)
     if ns.boundary == PBC:
         k = 2.0 * np.pi * np.arange(ns.L) / ns.L
-        ep, em = pbc_dispersion(params, k)
-        eigs = np.concatenate([ep, em])
+        eigs = np.concatenate(pbc_dispersion(params, k))
+        tol = 1e-9 * float(np.abs(eigs).max())
     else:
-        c1, c2 = obc_spectrum_via_chains(params)
-        eigs = np.concatenate([c1, c2])
-    cls = classify(eigs, tol_abs=1e-9 * float(np.abs(eigs).max()))
-    # every closed form has a block of size 2
-    jordan, defective = closed_form_blocks(report, ns.L), True
-    if jordan is None and report.lam is None:
-        jordan, defective = (), None
-    elif jordan is None:  # the numerical route
-        H = build_realspace(_params(ns, OBC))
-        jordan, seen = [], []
-        cands = (report.lam, -report.lam, 0j) if 2 * ns.L <= 64 else ()
-        for cand in cands:
-            if any(abs(cand - s) <= 1e-12 * (1.0 + abs(cand)) for s in seen):
-                continue
-            seen.append(cand)
-            try:
-                sizes = jordan_structure(H, cand)
-            except IllConditioned:
-                continue
-            if sizes:
-                jordan.append((cand, sizes))
-        defective = any(s >= 2 for _, sz in jordan for s in sz) if jordan \
-            else is_defective(H)
-    report = replace(report, jordan=tuple(jordan), defective=defective)
-    payload = {"config": _config_dict(ns, sp),
-               "degeneracy": report.to_dict(),
-               "gauge": gr.to_dict(),
-               "spectral": {"label": cls.label, "M": cls.M}}
-    print(json.dumps(payload, indent=2))
+        eigs = np.concatenate(obc_spectrum_via_chains(params))
+        tol = obc_tol_abs(params, report.label, eigs)
+    cls = classify(eigs, tol_abs=tol)
+    print(json.dumps({"config": _config_dict(ns, sp),
+                      "degeneracy": report.to_dict(), "gauge": gr.to_dict(),
+                      "spectral": {"label": cls.label, "M": cls.M}},
+                     indent=2))
     return 0
 
 

@@ -1,5 +1,6 @@
 """Classification of parameter-space degeneracies (exceptional lines and
-flat-band points) and numerically certified Jordan structure."""
+flat-band points) and their Jordan structure, decided from structure alone
+(resolve_structure); numerical rank and vector tests serve as references."""
 
 import cmath
 import math
@@ -9,8 +10,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditioned, WrongClass
-from .model import ModelParams, build_realspace, derive, require_balanced
-from .spectral import eig, obc_spectrum_via_chains
+from .model import (OBC, ModelParams, build_realspace, derive,
+                    require_balanced)
+from .spectral import _obc_chain_eigs, eig, obc_spectrum_via_chains
 
 GENERIC = "Generic"
 EL_U = "ELu"
@@ -21,12 +23,16 @@ EFB_LINE = "EFBLine"
 EFB_INTERSECTION = "EFBIntersection"
 DFB_PBC = "DFB_PBC"
 
+# kappa ~ delta^(-1/2) at a size-2 block split by delta (Kato, 1966): past 1e6
+# a pair is closer than about the 1e-6 cluster radius of _defective_from
+KAPPA_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """Label and degenerate eigenvalue; jordan holds (eigenvalue, sizes)
-    pairs when a rank certification was run, defective is None until an
-    eigenvector count was done."""
+    """Label and degenerate eigenvalue; jordan holds the (eigenvalue,
+    sizes) pairs that resolve_structure names, and defective is None until
+    it decided."""
 
     label: str
     lam: Optional[complex]
@@ -80,6 +86,17 @@ def classify_point(params, tol=1e-12):
         lam = 2.0 * cmath.sqrt(complex(d.tbar * d.tbar - params.g0 * params.g0))
         return DegeneracyReport(DFB_PBC, lam)
     return DegeneracyReport(GENERIC, None)
+
+
+def obc_tol_abs(params, label, eigs):
+    """tol_abs of spectral.classify for the OBC chain spectrum eigs at a
+    node labelled label: 1e-9 max|E|, or 0 off the uv = 0 loci where
+    u^2 v^2 > 0, as the bidiagonal SVD gives small eigenvalues there to
+    high relative accuracy and none is an exact zero."""
+    d = derive(params)
+    if label in (GENERIC, DFB_PBC) and d.u2 * d.v2 > 0.0:
+        return 0.0
+    return 1e-9 * float(np.abs(eigs).max())
 
 
 def jordan_structure(H, lam, tol_rank=None):
@@ -141,23 +158,79 @@ def jordan_structure(H, lam, tol_rank=None):
 
 def closed_form_blocks(report, L):
     """Exact Jordan blocks ((eigenvalue, sizes), ...) of the OBC ladder at
-    even L on the labels below, else None; exact ranks back each (tests).
+    even L on every locus label but DFB_PBC, else None, in the order lam,
+    -lam, 0; exact ranks back each (tests). A numerical rank cut misses
+    them once a size-m block splits its eigenvalue by eps^(1/m).
       EFBLine: H^2 = 0 and rank H = L, so L blocks of size 2 at 0.
+      EFBIntersection: H^2 = 0, rank H = L - 1: (1, 1) and (2,) x (L - 1).
       TriplePoint: two blocks of size L at 0.
-      ELu (u = 0, v != 0): (L/2 - 1, L/2) at each of +-v, (2,) at 0.
-      ELv: the same with u for v.
-    A numerical rank cut misses them once a size-m block splits its
-    eigenvalue by eps^(1/m). The order is that of the classify command."""
-    if L % 2:
+      ELu (u = 0, v != 0): (L/2 - 1, L/2) at each of +-v, (2,) at 0; ELv
+        the same with u for v.
+      DiabolicalFlatBand: the chains fall apart into dimers +-lam and two
+        end sites, so (1,) x (L - 1) at each of +-lam and (1, 1) at 0."""
+    if L % 2 or report.lam is None:
         return None
-    if report.label == EFB_LINE:
-        return ((0j, (2,) * L),)
-    if report.label == TRIPLE_POINT:
-        return ((0j, (L, L)),)
-    if report.label in (EL_U, EL_V):
-        sizes = tuple(s for s in (L // 2 - 1, L // 2) if s)
-        return ((report.lam, sizes), (-report.lam, sizes), (0j, (2,)))
-    return None
+    lam, el = report.lam, tuple(s for s in (L // 2 - 1, L // 2) if s)
+    return {EFB_LINE: ((0j, (2,) * L),),
+            EFB_INTERSECTION: ((0j, (1, 1) + (2,) * (L - 1)),),
+            TRIPLE_POINT: ((0j, (L, L)),),
+            EL_U: ((lam, el), (-lam, el), (0j, (2,))),
+            EL_V: ((lam, el), (-lam, el), (0j, (2,))),
+            DIABOLICAL_FLAT_BAND: ((lam, (1,) * (L - 1)),
+                                   (-lam, (1,) * (L - 1)), (0j, (1, 1))),
+            }.get(report.label)
+
+
+def condition_defective(chains):
+    """True when a chain eigenvalue's condition number
+    kappa_n = ||y_n||^2 / |y_n^T y_n| exceeds KAPPA_MAX, on the balanced
+    vectors Y of chains, per chain (lam, Y, ...) of _obc_chain_eigs. A
+    balanced chain is complex symmetric, so y_n^T is the left eigenvector;
+    at an exceptional point y_n is self-orthogonal (Moiseyev, Non-Hermitian
+    Quantum Mechanics, 2011). Real Y (same-sign chains) gives kappa = 1. A
+    NaN kappa raises LinAlgError."""
+    Y = np.concatenate([c[1] for c in chains], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.max(np.sum(np.abs(Y) ** 2, axis=0)
+                       / np.abs(np.sum(Y * Y, axis=0)))
+    if np.isnan(kappa):
+        raise np.linalg.LinAlgError("eigenvalue condition number is NaN")
+    return bool(kappa > KAPPA_MAX)
+
+
+def resolve_structure(params, report, chains=None, dense=None):
+    """The classify_point report at params with the open ladder's Jordan
+    blocks and defective flag, from structure alone: closed_form_blocks,
+    defective iff a block has size >= 2; on DFB_PBC (balanced legs: only at
+    tbar = t0 = 0, where H is anti-Hermitian, and in a sliver beside the
+    diabolical flat band) size-1 blocks at lam, -lam and 0, as many as the
+    OBC chain spectrum holds within 1e-6 max|E|; no blocks at Generic.
+    condition_defective decides the rest, on chains (_obc_chain_eigs) if
+    given. Without them dense = eig(build_realspace(params),
+    want_vectors=True) stands in, as where a Generic node's chain solve
+    raised: same-sign nodes are diagonalizable (each chain is similar to
+    an unreduced real or imaginary symmetric tridiagonal), and
+    _defective_from tests the others."""
+    blocks = closed_form_blocks(report, params.L)
+    if blocks is not None:
+        return replace(report, jordan=blocks, defective=any(
+            s >= 2 for _, sizes in blocks for s in sizes))
+    if report.label == DFB_PBC:
+        obc = replace(params, boundary=OBC)
+        eigs = np.concatenate(obc_spectrum_via_chains(obc))
+        near = [(c, np.count_nonzero(np.abs(eigs - c)
+                                     <= 1e-6 * np.abs(eigs).max()))
+                for c in dict.fromkeys((report.lam, -report.lam, 0j))]
+        return replace(report, jordan=tuple((c, (1,) * n) for c, n in near
+                                            if n),
+                       defective=condition_defective(_obc_chain_eigs(obc)))
+    if chains is not None:
+        return replace(report, defective=condition_defective(chains))
+    if dense is None:
+        return report
+    d = derive(params)
+    return replace(report, defective=d.u2 * d.v2 <= 0.0 and _defective_from(
+        dense.eigenvalues, dense.right_eigenvectors, 1e-6))
 
 
 def _defective_from(eigs, vecs, tol):

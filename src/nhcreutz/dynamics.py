@@ -1,5 +1,6 @@
 """Non-unitary wave-packet evolution on the ladder."""
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ def initial_state(L, cell=None, weights=(1.0, 0.0)):
     if not 1 <= cell <= L:
         raise OutOfRange(f"cell {cell} outside 1..{L}")
     wa, wb = complex(weights[0]), complex(weights[1])
+    if not (cmath.isfinite(wa) and cmath.isfinite(wb)):
+        raise ValueError(f"leg weights must be finite, got {weights!r}")
     nrm = math.hypot(abs(wa), abs(wb))
     if nrm == 0.0:
         raise ZeroState("both leg weights vanish")
@@ -265,6 +268,8 @@ def _evolution_inputs(H, psi0, t_max, n_steps, method):
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if psi0.size != dim:
         raise ValueError(f"state length {psi0.size} does not match {dim}")
+    if not np.isfinite(psi0).all():
+        raise ValueError("psi0 must have finite entries")
     nrm = float(np.linalg.norm(psi0))
     if nrm == 0.0:
         raise ZeroState("cannot evolve the zero state")

@@ -8,14 +8,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .degeneracy import (GENERIC, _defective_from, classify_point,
-                         closed_form_blocks)
+from .degeneracy import (GENERIC, classify_point, obc_tol_abs,
+                         resolve_structure)
 from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
 from .errors import Overflow
 from .localization import _mean_dipr_chains, mean_dipr
 from .model import (OBC, PBC, ModelParams, build_nhssh, build_realspace,
-                    derive, nhssh_permutation, w_basis)
+                    nhssh_permutation, w_basis)
 from .spectral import (_obc_chain_eigs, classify, eig,
                        obc_spectrum_via_chains, pbc_dispersion)
 
@@ -102,7 +102,8 @@ def _status_flag(label):
 def phase_diagram(spec):
     """Spectral-density measure M and spectrum class on the grid; PBC from
     the closed-form dispersion on k_m = 2 pi m / L, OBC from the reduced
-    chain pair.
+    chain pair. M counts |E| <= 1e-9 max|E| as real, except on OBC
+    same-sign nodes (obc_tol_abs).
 
     One grid row (fixed gbar) at a time: the dispersion, M and the class
     labels are computed for the whole row at once, the chain spectra and
@@ -118,17 +119,19 @@ def phase_diagram(spec):
         cls_pbc = classify(pbc_eigs,
                            tol_abs=1e-9 * np.abs(pbc_eigs).max(axis=-1))
         obc_eigs = np.zeros((len(nodes), 2 * spec.L), dtype=complex)
+        obc_tol = np.zeros(len(nodes))
         labels, failed = [], {}
         for i, params in enumerate(nodes):
             try:
                 obc_eigs[i] = np.concatenate(
                     obc_spectrum_via_chains(replace(params, boundary=OBC)))
-                labels.append(classify_point(params).label)
+                label = classify_point(params).label
+                obc_tol[i] = obc_tol_abs(params, label, obc_eigs[i])
+                labels.append(label)
             except Exception as exc:  # row-level marker, never abort the grid
                 failed[i] = type(exc).__name__
                 labels.append(None)
-        cls_obc = classify(obc_eigs,
-                           tol_abs=1e-9 * np.abs(obc_eigs).max(axis=-1))
+        cls_obc = classify(obc_eigs, tol_abs=obc_tol)
         for i, t0 in enumerate(t0_vals):
             if i in failed:
                 out.append(GridRow(t0=t0, gbar=gbar, status=failed[i]))
@@ -138,14 +141,6 @@ def phase_diagram(spec):
                                class_obc=str(cls_obc.label[i]),
                                degeneracy_label=labels[i]))
     return out
-
-
-def _diagonalizable(params, label):
-    """True at Generic nodes where u^2 v^2 > 0: each chain is then similar
-    to an unreduced real or imaginary symmetric tridiagonal, whose
-    eigenvalues are distinct, so no numerical test is needed."""
-    d = derive(params)
-    return label == GENERIC and d.u2 * d.v2 > 0.0
 
 
 def _chain_route(params):
@@ -163,27 +158,18 @@ def _chain_route(params):
 
 def _dipr_node(params, report):
     """(mean dIPR, defective) of one OBC node, given its classify_point
-    report. Where the chains solve, defective is tested per chain on the
-    balanced vectors Y (balancing is a diagonal similarity) unless the
-    chain structure proves the node diagonalizable, and the mean comes from
-    the chain vectors X if they pass the gate, else from dense eig.
-    Elsewhere dense eig gives the mean, and the dense vectors decide
-    defective unless closed_form_blocks knows the Jordan blocks."""
-    diagonalizable = _diagonalizable(params, report.label)
+    report. The mean comes from the chain vectors X where the chains of a
+    Generic node solve and pass the gate, else from dense eig.
+    resolve_structure decides defective: in closed form on the loci, else
+    on the chains, or on the dense vectors where the chain solve raised."""
     route = _chain_route(params) if report.label == GENERIC else None
-    if route is not None:
-        chains, gated = route
-        defective = not diagonalizable and \
-            any(_defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
-        if gated:
-            return _mean_dipr_chains([X for _, _, X, _ in chains]), defective
+    chains, gated = route or (None, False)
+    if gated:
+        return (_mean_dipr_chains([X for _, _, X, _ in chains]),
+                resolve_structure(params, report, chains).defective)
     res = eig(build_realspace(params), want_vectors=True)
-    if route is None:
-        # every closed form has a block of size 2: no vector test there
-        defective = closed_form_blocks(report, params.L) is not None or (
-            not diagonalizable and _defective_from(
-                res.eigenvalues, res.right_eigenvectors, 1e-6))
-    return mean_dipr(res, params.L), defective
+    return (mean_dipr(res, params.L),
+            resolve_structure(params, report, chains, res).defective)
 
 
 def dipr_map(spec):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhcreutz import cli, dynamics, sweep
+from nhcreutz import cli, degeneracy, dynamics, sweep
 from nhcreutz.cli import main
 from nhcreutz.errors import ConvergenceFailure
 from nhcreutz.model import OBC, PBC, ModelParams, build_realspace
@@ -243,6 +243,107 @@ class TestClassifyCommand:
         assert report["defective"] is True
 
 
+# one point per degeneracy label, (label, classify flags)
+LABEL_POINTS = [
+    ("Generic", ["--t0", "0.3", "--gbar", "0.2", "--g0", "0.1"]),
+    ("ELu", ["--t0", "0.3", "--gbar", "0.8", "--g0", "0.5"]),
+    ("ELv", ["--t0", "0.3", "--gbar", "1.2", "--g0", "0.5"]),
+    ("TriplePoint", ["--t0", "0.5", "--gbar", "1", "--g0", "0.5"]),
+    ("DiabolicalFlatBand", ["--t0", "1", "--gbar", "0.5", "--g0", "0.5"]),
+    ("EFBLine", ["--t0", "0.7", "--gbar", "0.7", "--g0", "1"]),
+    ("EFBIntersection", ["--t0", "1", "--gbar", "1", "--g0", "1"]),
+    ("DFB_PBC", ["--t0", "0", "--gbar", "1.2", "--g0", "-0.4", "--tbar",
+                 "0"]),
+]
+
+
+def classify_report(tmp_path, capsys, argv):
+    assert run(tmp_path, ["classify", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def blocks_of(report):
+    return [(complex(b["eig_re"], b["eig_im"]), b["sizes"])
+            for b in report["blocks"]]
+
+
+class TestClassifyStructure:
+    """Jordan blocks and defective decided from structure alone."""
+
+    @pytest.mark.parametrize("L", ["8", "50"])
+    def test_no_numerical_route(self, tmp_path, capsys, monkeypatch, L):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numerical route taken")
+
+        for name in ("jordan_structure", "is_defective", "_defective_from"):
+            monkeypatch.setattr(degeneracy, name, refuse)
+        monkeypatch.setattr(cli, "build_realspace", refuse)
+        for label, point in LABEL_POINTS:
+            for boundary in (OBC, PBC):
+                report = classify_report(
+                    tmp_path, capsys,
+                    [*point, "-L", L, "--boundary", boundary])["degeneracy"]
+                assert report["label"] == label
+                if label == "Generic":
+                    assert (report["blocks"], report["defective"]) == ([],
+                                                                       None)
+                else:
+                    assert report["defective"] is any(
+                        s >= 2 for b in report["blocks"] for s in b["sizes"])
+
+    def test_flat_band_closed_forms_at_l50(self, tmp_path, capsys):
+        # the numerical route stopped at dimension 64: no blocks here
+        report = classify_report(tmp_path, capsys, [
+            "--t0", "1", "--gbar", "0.5", "--g0", "0.5", "-L", "50"])
+        deg = report["degeneracy"]
+        lam = complex(deg["lambda_re"], deg["lambda_im"])
+        assert (deg["label"], deg["defective"]) == ("DiabolicalFlatBand",
+                                                    False)
+        assert lam == pytest.approx(3 ** 0.5)
+        assert blocks_of(deg) == [(lam, [1] * 49), (-lam, [1] * 49),
+                                  (0j, [1, 1])]
+        deg = classify_report(tmp_path, capsys, [
+            "--t0", "1", "--gbar", "1", "--g0", "1", "-L", "50"])["degeneracy"]
+        assert (deg["label"], deg["defective"]) == ("EFBIntersection", True)
+        assert blocks_of(deg) == [(0j, [1, 1] + [2] * 49)]
+
+    # DFB_PBC on balanced legs: the anti-Hermitian point tbar = t0 = 0 and
+    # the sliver beside the diabolical flat band (fp = 2e-12); its blocks
+    # count the OBC chain spectrum under either boundary
+    @pytest.mark.parametrize("point, L, expected", [
+        (["--t0", "0", "--gbar", "1.2", "--g0", "-0.4", "--tbar", "0"], 2,
+         [(0.8j, 1), (-0.8j, 1)]),
+        (["--t0", "1", "--gbar", repr(1.5 + 2e-12), "--g0", "1.5"], 8,
+         [(5 ** 0.5 * 1j, 7), (-(5 ** 0.5) * 1j, 7), (0j, 2)]),
+    ])
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    def test_dfb_pbc_blocks(self, tmp_path, capsys, point, L, expected,
+                            boundary):
+        deg = classify_report(tmp_path, capsys, [
+            *point, "-L", str(L), "--boundary", boundary])["degeneracy"]
+        assert (deg["label"], deg["defective"]) == ("DFB_PBC", False)
+        got = blocks_of(deg)
+        assert [sizes for _, sizes in got] == [[1] * n for _, n in expected]
+        for (e, _), (ref, _) in zip(got, expected):
+            assert e == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("point, L, M", [
+        # same-sign Generic nodes with an edge pair below 1e-9 max|E|:
+        # the magnitude cut counted it as real and wrote -0.9375
+        ((0.134, -1.414, -0.489), 32, -0.9999999999999999),
+        ((0.33, -1.462, -0.776), 32, -0.9999999999999999),
+        # an ELu point whose u^2 rounds to -2.7e-15: on the locus the pair
+        # is the exact zero of the (2,) block and keeps the cut
+        ((1.27, 2.9370000000000003, -0.667), 8, -0.7499999999999999),
+    ])
+    def test_obc_magnitude_cut(self, tmp_path, capsys, point, L, M):
+        t0, gbar, g0 = point
+        spectral = classify_report(tmp_path, capsys, [
+            "--t0", repr(t0), "--gbar", repr(gbar), "--g0", repr(g0),
+            "-L", str(L)])["spectral"]
+        assert spectral == {"label": "Imaginary", "M": M}
+
+
 class TestEvolveCommand:
     def test_trace_csv(self, tmp_path, capsys):
         assert run(tmp_path, ["evolve", "--t0", "1", "--gbar", "0.5",
@@ -274,6 +375,16 @@ class TestEvolveCommand:
         # dark state: norm frozen at 1
         norms = {row.split(",")[4] for row in lines[2:]}
         assert norms == {"1.0"}
+
+    @pytest.mark.parametrize("weights", ["nan,0", "inf,0"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, weights):
+        # exit 2 and no file; these used to write nan intensities, exit 0
+        rc = run(tmp_path, ["evolve", "--t0", "0.3", "--gbar", "0.2",
+                            "--g0", "0.1", "-L", "8", "--weights", weights,
+                            "-o", "t.csv"])
+        assert rc == 2
+        assert "invalid parameters" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_eig_method_fails_at_defective_h(self, tmp_path, capsys):
         # an exceptional flat band has no eigenbasis: exit 3, no nan trace

@@ -197,13 +197,15 @@ class TestJordanStructure:
         # block structures that classify reports in closed form,
         # independently of any tolerance. Inputs: the ELu point above, an
         # ELu point with rational lam = +-2/5 at L = 16, a triple point,
-        # and an EFB-line point at L = 32, where sigma_L = 1.6e-15 lies
-        # below the numerical certifier's rank cut
+        # an EFB-line point at L = 32, where sigma_L = 1.6e-15 lies below
+        # the numerical certifier's rank cut, the EFB intersection and a
+        # diabolical flat band at L = 4 and 8
         sympy = pytest.importorskip("sympy")
         from sympy.polys.matrices import DomainMatrix
 
         R, QI = sympy.Rational, sympy.QQ_I
         lam = sympy.sqrt(R(2, 5))  # irrational: ranks over Q(sqrt(10))
+        e0 = sympy.sqrt(3)  # the flat bands +-2 sqrt(tbar^2 - g0^2)
         cases = [
             ((R(3, 10), R(4, 5), R(1, 2), 8),
              [(sympy.S.Zero, [15, 14, 14], (2,)),
@@ -220,6 +222,18 @@ class TestJordanStructure:
             # |t0| != tbar on the EFB line: H^2 = 0 and rank H = L
             ((R(-6, 5), R(-6, 5), R(1), 32),
              [(sympy.S.Zero, [32, 0], (2,) * 32)]),
+            # EFB intersection: H^2 = 0 and rank H = L - 1
+            ((R(1), R(1), R(1), 4), [(sympy.S.Zero, [3, 0], (1, 1, 2, 2, 2))]),
+            ((R(1), R(1), R(1), 8),
+             [(sympy.S.Zero, [7, 0], (1, 1) + (2,) * 7)]),
+            # diabolical flat band: diagonalizable, L - 1 blocks of size 1
+            # at each of +-2 sqrt(tbar^2 - g0^2) and (1, 1) at 0
+            ((R(1), R(1, 2), R(1, 2), 4),
+             [(e0, [5, 5], (1, 1, 1)), (-e0, [5, 5], (1, 1, 1)),
+              (sympy.S.Zero, [6, 6], (1, 1))]),
+            ((R(1), R(1, 2), R(1, 2), 8),
+             [(e0, [9, 9], (1,) * 7), (-e0, [9, 9], (1,) * 7),
+              (sympy.S.Zero, [14, 14], (1, 1))]),
         ]
         tbar = 1
         for (t0, gbar, g0, L), expected in cases:
@@ -250,7 +264,8 @@ class TestJordanStructure:
             gauged = [[rows[x][y] * d[y] / d[x] for y in range(n)]
                       for x in range(n)]
             assert all(e.y == 0 for row in gauged for e in row)
-            K = sympy.QQ.algebraic_field(sympy.sqrt(10))
+            K = sympy.QQ.algebraic_field(
+                e0 if expected[0][0] == e0 else sympy.sqrt(10))
             G = DomainMatrix([[K.convert(e.x) for e in row]
                               for row in gauged], (n, n), K).to_sparse()
 
@@ -274,7 +289,8 @@ class TestJordanStructure:
                     repr(point[1]), "--g0", repr(point[2]), "--L", str(L)]
             assert main(argv) == 0
             report = json.loads(capsys.readouterr().out)["degeneracy"]
-            assert report["defective"] is True
+            assert report["defective"] is any(
+                size >= 2 for _, _, sizes in expected for size in sizes)
             reported = {complex(b["eig_re"], b["eig_im"]): tuple(b["sizes"])
                         for b in report["blocks"]}
             assert len(reported) == len(expected)

@@ -92,6 +92,11 @@ class TestInitialState:
             initial_state(4, cell=5)
         with pytest.raises(ZeroState):
             initial_state(4, weights=(0.0, 0.0))
+        # non-finite weights used to give a state of NaNs
+        for weights in ((math.nan, 0.0), (math.inf, 0.0),
+                        (1.0, complex(0.0, math.inf))):
+            with pytest.raises(ValueError, match="finite"):
+                initial_state(4, weights=weights)
 
 
 class TestMipr:
@@ -346,6 +351,9 @@ class TestPropagate:
             propagate(H, np.zeros(4), 1.0, 10)
         with pytest.raises(ValueError):
             propagate(H, np.ones(4), 1.0, 10, method="magic")
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                propagate(H, [bad, 0.0, 0.0, 0.0], 1.0, 10)
 
     def test_trace_mipr_and_support(self):
         p = params(t0=1.0, gbar=0.0, g0=0.0, L=10)

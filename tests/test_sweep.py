@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nhcreutz.sweep as sweep
-from nhcreutz.degeneracy import GENERIC, _defective_from
+from nhcreutz.degeneracy import (GENERIC, _defective_from,
+                                 condition_defective)
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.spectral import _obc_chain_eigs
 from nhcreutz import (
@@ -154,6 +155,26 @@ class TestPhaseDiagram:
                 assert r.M_obc == pytest.approx(direct.M)
                 assert r.degeneracy_label == classify_point(p).label
                 k += 1
+
+    def test_same_sign_edge_pair_counts_imaginary(self):
+        # a node of `phase --g0 0.3 --grid 15x15 --range -2:2 -L 50`:
+        # u^2 = -0.42, v^2 = -5.11 and one chain's edge pair sits at
+        # +-5.8e-14 i, below the 1e-9 max|E| cut, which counted it as real
+        # (M_obc -0.96). Same-sign chains come from the bidiagonal SVD,
+        # relatively accurate, so the pair is imaginary
+        t0 = grid_axes(spec(lo=-2.0, hi=2.0, n=15))[0][9]
+        assert t0 == 0.5714285714285712
+        s = GridSpec(t0_range=(t0, 0.7, 2), gbar_range=(-2.0, -1.9, 2),
+                     g0=0.3, L=50)
+        row = phase_diagram(s)[0]
+        assert (row.t0, row.gbar, row.degeneracy_label) == (t0, -2.0,
+                                                             GENERIC)
+        assert row.class_obc == "Imaginary"
+        assert row.M_obc == pytest.approx(-1.0, abs=1e-15)
+        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=-2.0, g0=0.3, L=50)
+        eigs = np.concatenate(obc_spectrum_via_chains(p))
+        edge = np.abs(eigs).min()
+        assert 5e-14 < edge < 1e-9 * np.abs(eigs).max()
 
     def test_pbc_real_on_fine_tuned_line(self):
         # nodes with gbar = t0 g0 / tbar classify Real under PBC
@@ -480,8 +501,9 @@ def random_generic_nodes(L, n, seed):
 
 
 class TestChainRoute:
-    """The dIPR map's chain route (sweep._chain_route and the direct
-    formula) against the ladder vectors of obc_eig_via_chains."""
+    """The dIPR map's chain route (sweep._chain_route, the direct formula
+    and the condition test) against the ladder vectors of
+    obc_eig_via_chains and the clustered-rank test."""
 
     @pytest.mark.parametrize("L, seed", [(10, 1), (50, 2)])
     def test_direct_formula_and_residual_match_ladder(self, L, seed):
@@ -499,6 +521,10 @@ class TestChainRoute:
             direct = _mean_dipr_chains([X for _, _, X, _ in chains])
             assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
             assert chain_gate(p) == ladder_gate(p)
+            # the c-product condition test against the clustered-rank test
+            # on the same balanced vectors Y
+            assert condition_defective(chains) is any(
+                _defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
 
     @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
     def test_gate_unchanged_near_exceptional_lines(self, t0, gbar, L):
