@@ -43,6 +43,7 @@ from .spectral import (
     classify,
     eig,
     enclosed_area,
+    ladder_spectrum,
     obc_bulk_dispersion,
     obc_curve_distance,
     obc_eig_via_chains,
@@ -94,9 +95,9 @@ __all__ = [
     "build_realspace", "build_bloch", "build_nhssh", "nhssh_permutation",
     "w_basis",
     "REAL", "IMAGINARY", "COMPLEX", "COLLAPSED",
-    "SpectrumResult", "SpectralClass", "eig", "pbc_dispersion",
+    "SpectrumResult", "SpectralClass", "eig", "ladder_spectrum",
     "obc_bulk_dispersion", "obc_spectrum_via_chains", "obc_eig_via_chains",
-    "obc_curve_distance",
+    "obc_curve_distance", "pbc_dispersion",
     "enclosed_area", "spectral_density_M", "classify",
     "CHAIN_ONE", "CHAIN_TWO", "DIPR_SIGN_OF_XI_INV", "SimilarityMatrix",
     "GaugeReport", "igt_matrix", "hermitianize", "gauge_report",

@@ -21,7 +21,7 @@ from .dynamics import _row_norms, initial_state, propagate
 from .errors import NhcreutzError
 from .gauge import gauge_report
 from .model import OBC, PBC, ModelParams, build_realspace
-from .spectral import classify, eig, obc_spectrum_via_chains, pbc_dispersion
+from .spectral import classify, ladder_spectrum
 from .sweep import GridSpec, dipr_map, grid_axes, mipr_map, phase_diagram
 
 PROG = "nhcreutz"
@@ -352,10 +352,8 @@ def _validate(ns, parser):
 
 def cmd_spectrum(ns, sp):
     boundaries = (PBC, OBC) if ns.boundary == BOTH else (ns.boundary,)
-    sets = []
-    for b in boundaries:
-        res = eig(build_realspace(_params(ns, b)))
-        sets.append((b, np.sort_complex(res.eigenvalues)))
+    sets = [(b, np.sort_complex(ladder_spectrum(_params(ns, b))))
+            for b in boundaries]
     path = Path(ns.output)
     if ns.format == "svg":
         path.write_text(svgplot.scatter(sets, cmd=_resolved_command(ns, sp)))
@@ -417,13 +415,9 @@ def cmd_classify(ns, sp):
     params = _params(ns, ns.boundary)
     report = resolve_structure(params, classify_point(params))
     gr = gauge_report(params)
-    if ns.boundary == PBC:
-        k = 2.0 * np.pi * np.arange(ns.L) / ns.L
-        eigs = np.concatenate(pbc_dispersion(params, k))
-        tol = 1e-9 * float(np.abs(eigs).max())
-    else:
-        eigs = np.concatenate(obc_spectrum_via_chains(params))
-        tol = obc_tol_abs(params, report.label, eigs)
+    eigs = ladder_spectrum(params)
+    tol = obc_tol_abs(params, report.label, eigs) if ns.boundary == OBC \
+        else 1e-9 * float(np.abs(eigs).max())
     cls = classify(eigs, tol_abs=tol)
     print(json.dumps({"config": _config_dict(ns, sp),
                       "degeneracy": report.to_dict(), "gauge": gr.to_dict(),

@@ -8,8 +8,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
-from .model import (OBC, ModelParams, _chain_bonds, _envelope, derive,
-                    nhssh_permutation, require_balanced, w_basis)
+from .model import (OBC, PBC, ModelParams, _chain_bonds, _envelope,
+                    build_realspace, derive, nhssh_permutation,
+                    require_balanced, w_basis)
 
 REAL = "Real"
 IMAGINARY = "Imaginary"
@@ -227,6 +228,19 @@ def obc_spectrum_via_chains(params):
     """
     return tuple(_tridiag_spectrum_from_squares(sq[:-1])
                  for _, _, sq in _chain_bonds(params))
+
+
+def ladder_spectrum(params):
+    """The 2L ladder eigenvalues at params.boundary. PBC: pbc_dispersion on
+    k_m = 2 pi m / L, for any L and legs. OBC: the two chains
+    (obc_spectrum_via_chains) at balanced legs and even L; dense eig of
+    build_realspace otherwise, where no chain split exists."""
+    if params.boundary == PBC:
+        k = 2.0 * np.pi * np.arange(params.L) / params.L
+        return np.concatenate(pbc_dispersion(params, k))
+    if params.balanced and params.L % 2 == 0:
+        return np.concatenate(obc_spectrum_via_chains(params))
+    return eig(build_realspace(params)).eigenvalues
 
 
 def _split_eig(s, sq):

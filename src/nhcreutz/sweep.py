@@ -16,7 +16,7 @@ from .errors import Overflow
 from .localization import _mean_dipr_chains, mean_dipr
 from .model import (OBC, PBC, ModelParams, build_nhssh, build_realspace,
                     nhssh_permutation, w_basis)
-from .spectral import (_obc_chain_eigs, classify, eig,
+from .spectral import (_obc_chain_eigs, classify, eig, ladder_spectrum,
                        obc_spectrum_via_chains, pbc_dispersion)
 
 CHAIN_RESIDUAL_GATE = 1e-10
@@ -263,7 +263,7 @@ class SpectrumOverlay(NamedTuple):
 
 
 def spectrum_overlay(params):
-    """Dense PBC and OBC spectra side by side for one parameter point."""
-    pbc = eig(build_realspace(replace(params, boundary=PBC))).eigenvalues
-    obc = eig(build_realspace(replace(params, boundary=OBC))).eigenvalues
-    return SpectrumOverlay(pbc=pbc, obc=obc)
+    """PBC and OBC spectra side by side for one parameter point, each by
+    ladder_spectrum (dense eig only for OBC at imbalanced legs or odd L)."""
+    return SpectrumOverlay(pbc=ladder_spectrum(replace(params, boundary=PBC)),
+                           obc=ladder_spectrum(replace(params, boundary=OBC)))

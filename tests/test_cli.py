@@ -9,11 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhcreutz import cli, degeneracy, dynamics, sweep
+from conftest import multiset_dist
+from nhcreutz import cli, degeneracy, dynamics, spectral, sweep
 from nhcreutz.cli import main
 from nhcreutz.errors import ConvergenceFailure
-from nhcreutz.model import OBC, PBC, ModelParams, build_realspace
-from nhcreutz.spectral import eig
+from nhcreutz.model import OBC, PBC, ModelParams, _chain_bonds, build_realspace
+from nhcreutz.spectral import eig, obc_spectrum_via_chains, pbc_dispersion
+from test_spectral import charpoly_chain_spectrum
 
 
 def run(tmp_path, argv):
@@ -101,6 +103,69 @@ class TestSpectrumCommand:
         text = (tmp_path / "spectrum.svg").read_text()
         assert text.lstrip().startswith("<svg")
         assert "cmd: nhcreutz spectrum" in text
+
+    def test_obc_matches_60_digit_reference(self, tmp_path, capsys):
+        # a same-sign Generic point where dense eig of the ladder is off by
+        # 6.1e-2 max|E| (OPENBLAS_NUM_THREADS=1)
+        assert run(tmp_path, ["spectrum", "--t0", "-0.511", "--gbar",
+                              "0.865", "--g0", "-0.59", "-L", "32"]) == 0
+        rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",",
+                          skiprows=2)
+        p = ModelParams.from_bars(t0=-0.511, gbar=0.865, g0=-0.59, L=32)
+        ref = np.concatenate([charpoly_chain_spectrum(sq[:-1])
+                              for _, _, sq in _chain_bonds(p)])
+        assert multiset_dist(rows[:, 1] + 1j * rows[:, 2], ref) \
+            <= 1e-13 * np.abs(ref).max()
+
+    def test_no_dense_route_on_balanced_even_l(self, tmp_path, capsys,
+                                               monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for mod in (cli, spectral):
+            monkeypatch.setattr(mod, "build_realspace", refuse)
+        monkeypatch.setattr(spectral, "eig", refuse)
+        point = ["--t0", "0.8", "--gbar", "0.4", "--g0", "0.5", "--L", "8"]
+        assert run(tmp_path, ["spectrum", *point, "--boundary", "both"]) == 0
+        for boundary in (OBC, PBC):
+            classify_report(tmp_path, capsys,
+                            [*point, "--boundary", boundary])
+
+    @pytest.mark.parametrize("extra, boundary, dense", [
+        (["--L", "7"], OBC, 1), (["--L", "7"], PBC, 0),
+        (["--L", "8", "--dt", "0.1"], OBC, 1),
+        (["--L", "8", "--dgamma", "0.1"], PBC, 0)],
+        ids=["odd-obc", "odd-pbc", "dt-obc", "dgamma-pbc"])
+    def test_dense_only_without_chain_split(self, tmp_path, capsys,
+                                            monkeypatch, extra, boundary,
+                                            dense):
+        calls = []
+        real = spectral.eig
+        monkeypatch.setattr(spectral, "eig",
+                            lambda H: calls.append(H) or real(H))
+        assert run(tmp_path, ["spectrum", *GENERIC_POINT, *extra,
+                              "--boundary", boundary]) == 0
+        assert len(calls) == dense
+
+    def test_rows_independent_of_blas_threads(self, tmp_path):
+        # each point's spectra at L = 50 from fresh processes with one and
+        # two OpenBLAS threads: mixed-sign chains, then same-sign chains
+        code = ("from nhcreutz.cli import main\n"
+                "for i, p in enumerate([('0.5', '0.8', '0.1'), "
+                "('-0.511', '0.865', '-0.59')]):\n"
+                "    main(['spectrum', '--t0', p[0], '--gbar', p[1], "
+                "'--g0', p[2], '-L', '50', '--boundary', 'both', "
+                "'-o', f's{i}.csv'])\n")
+        rows = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            assert fresh_process(code, cwd, OPENBLAS_NUM_THREADS=threads) \
+                == (0, "", "")
+            rows[threads] = [(cwd / f"s{i}_{b}.csv").read_text()
+                             .split("\n", 1)[1]
+                             for i in range(2) for b in (PBC, OBC)]
+        assert rows["1"] == rows["2"]
 
 
 class TestSweepCommands:
@@ -511,19 +576,40 @@ class TestColumnarWriter:
                                          "intensity_b", "norm", "mipr"),
                                   loop_trace_rows(traces[0], 8))
 
+    @staticmethod
+    def spectrum_both_files(tmp_path, argv, fmt, obc_eigs):
+        """Run spectrum --boundary both and compare its files with a loop
+        that takes PBC from the dispersion and OBC from obc_eigs(params)."""
+        argv = ["spectrum", *argv, "--boundary", "both", "--format", fmt,
+                "-o", f"s.{fmt}"]
+        assert run(tmp_path, argv) == 0
+        ns = cli.build_parser()[0].parse_args(argv)
+        for b in ("pbc", "obc"):
+            params = cli._params(ns, b)
+            if b == "pbc":
+                k = 2.0 * np.pi * np.arange(params.L) / params.L
+                eigs = np.concatenate(pbc_dispersion(params, k))
+            else:
+                eigs = obc_eigs(params)
+            rows = [(i, e.real, e.imag)
+                    for i, e in enumerate(np.sort_complex(eigs))]
+            assert (tmp_path / f"s_{b}.{fmt}").read_text() == loop_table(
+                argv, ("index", "re_E", "im_E"), rows)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_spectrum_both_byte_identical_to_loop(self, tmp_path, capsys,
                                                   fmt):
-        argv = ["spectrum", *GENERIC_POINT, "--L", "7", "--dt", "0.1",
-                "--boundary", "both", "--format", fmt, "-o", f"s.{fmt}"]
-        assert run(tmp_path, argv) == 0
-        for b in ("pbc", "obc"):
-            H = build_realspace(cli._params(
-                cli.build_parser()[0].parse_args(argv), b))
-            eigs = np.sort_complex(eig(H).eigenvalues)
-            rows = [(i, e.real, e.imag) for i, e in enumerate(eigs)]
-            assert (tmp_path / f"s_{b}.{fmt}").read_text() == loop_table(
-                argv, ("index", "re_E", "im_E"), rows)
+        # imbalanced legs and odd L: no chain split, dense OBC
+        self.spectrum_both_files(
+            tmp_path, [*GENERIC_POINT, "--L", "7", "--dt", "0.1"], fmt,
+            lambda params: eig(build_realspace(params)).eigenvalues)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_chain_route_byte_identical_to_loop(self, tmp_path,
+                                                         capsys, fmt):
+        self.spectrum_both_files(
+            tmp_path, [*GENERIC_POINT, "--L", "8"], fmt,
+            lambda params: np.concatenate(obc_spectrum_via_chains(params)))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command,sweep_fn,fields,columns", [
@@ -633,11 +719,11 @@ class TestSelfCheck:
         assert len(calls) == (2 if point is GENERIC_POINT else 1)
 
 
-def fresh_process(code, cwd):
+def fresh_process(code, cwd, **env_vars):
     """(exit code, stdout, stderr) of python -c code in a new interpreter
-    that imports nhcreutz from this checkout."""
+    that imports nhcreutz from this checkout, with env_vars set."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True)
     return done.returncode, done.stdout, done.stderr

@@ -25,6 +25,7 @@ from nhcreutz import (
     derive,
     eig,
     enclosed_area,
+    ladder_spectrum,
     mean_dipr,
     obc_bulk_dispersion,
     obc_curve_distance,
@@ -381,6 +382,21 @@ class TestChainEig:
     def test_imbalance_rejected(self):
         with pytest.raises(ImbalancedParameters):
             obc_eig_via_chains(params(dt=0.1))
+
+
+class TestLadderSpectrum:
+    def test_pbc_matches_dense_with_imbalanced_legs(self):
+        # PBC H is block circulant, so dense eig is well conditioned there
+        rng = np.random.default_rng(17)
+        for L in (2, 3, 4, 7, 32, 33):
+            for _ in range(50):
+                v = rng.uniform(-1.5, 1.5, size=4)
+                dt, dg = rng.uniform(0.05, 0.5, size=2) \
+                    * rng.choice([-1.0, 1.0], size=2)
+                p = params(*v, dt=dt, dg=dg, L=L, boundary=PBC)
+                dense = eig(build_realspace(p)).eigenvalues
+                assert multiset_dist(ladder_spectrum(p), dense) \
+                    <= 1e-12 * np.abs(dense).max()
 
 
 class TestClassify:

@@ -673,6 +673,8 @@ class TestSpectrumOverlay:
         ov = spectrum_overlay(p)
         assert ov.pbc.shape == (40,)
         assert ov.obc.shape == (40,)
+        assert np.array_equal(ov.obc,
+                              np.concatenate(obc_spectrum_via_chains(p)))
         # strong skin point: OBC spectrum differs visibly from PBC loop
         assert np.abs(np.sort_complex(ov.pbc)
                       - np.sort_complex(ov.obc)).max() > 0.1
