@@ -13,6 +13,8 @@ from .spectral import eig
 _LOG_NORM_MAX = math.log(1e300)
 # states per support-counting pass of the mIPR map, (B, 16, 2, L) at most
 _SUPPORT_CHUNK = 16
+# an eigen-expansion whose eigenvector condition reaches 1/eps keeps no digit
+_EVEC_CONDITION_MAX = 1.0 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def _step_stack(U, psi0, times):
     A row is one state: a ladder state (B, 2L) with U (B, 2L, 2L), or
     independent blocks such as the two NH-SSH chains (B, 2, L) with U
     (B, 2, L, L). A row's norm is taken jointly over its blocks, and its
-    blocks are scaled together.
+    blocks are scaled together, in the arithmetic of U and psi0.
 
     Yields (live, units, lognorms, failed) after each step: the stack
     indices still running, their unit states and accumulated log norms,
@@ -128,10 +130,12 @@ def _step_stack(U, psi0, times):
     live = np.arange(len(psi0))
     lognorms = [0.0] * len(psi0)
     phi = psi0
+    row_norms = (_row_norms if np.result_type(U, psi0).kind == "c" else
+                 lambda x: np.sqrt(np.vecdot(x, x)))
     for k in range(1, len(times)):
         # one mat-vec product per block, equal to U[i] @ phi[i] bit for bit
         phi = (U @ phi[..., None])[..., 0]
-        g = _row_norms(phi.reshape(len(phi), -1))
+        g = row_norms(phi.reshape(len(phi), -1))
         failed = {}
         for i, gi in enumerate(g.tolist()):
             try:
@@ -154,20 +158,20 @@ def _step_stack(U, psi0, times):
             return
 
 
-def _step_propagator(H, times):
-    """exp(-i dt H) for the spacing dt of the uniform grid times; a stack
-    H (..., n, n) gives the stack of exponentials.
+def _step_propagator(K, times):
+    """exp(dt K) for the spacing dt of the uniform grid times, K = -iH; a
+    stack K (..., n, n) gives the stack of exponentials. Every NH-SSH chain
+    entry is imaginary, so a chain's K = Im H and its propagator are real.
 
     scipy.linalg is imported here, its only use, so the commands that
     never step a state do not load it."""
     import scipy.linalg
 
-    dt = times[1] - times[0]
-    return scipy.linalg.expm(-1j * dt * H)
+    return scipy.linalg.expm((times[1] - times[0]) * K)
 
 
 def _propagate_expm(H, psi0, times, L):
-    U = _step_propagator(H, times)
+    U = _step_propagator(-1j * H, times)
     units = [psi0]
     lognorms = [0.0]
     for _, phi, lognorm, failed in _step_stack(U[None], psi0[None], times):
@@ -180,7 +184,7 @@ def _propagate_expm(H, psi0, times, L):
 
 def _final_mipr_and_support(U, z0, times, legs):
     """Evolve a stack of ladder states given on their two NH-SSH chains,
-    unit z0 (B, 2, L), with the chains' one-step propagators U
+    real unit z0 (B, 2, L), with the chains' real one-step propagators U
     (B, 2, L, L), and return, per row, the mIPR of the final state and the
     largest cell support over all times, without keeping the history:
     (mipr_final, max_support, failed). failed maps the rows that dropped
@@ -188,10 +192,10 @@ def _final_mipr_and_support(U, z0, times, legs):
 
     Site n of either chain is one w orbital of the same cell, and the w
     basis is unitary per cell, so that cell's intensity is
-    |z1_n|^2 + |z2_n|^2 and the support needs no map back to the legs.
+    z1_n^2 + z2_n^2 and the support needs no map back to the legs.
     The mIPR weights the legs, so only the final states are mapped back,
-    through legs (2L, 2L): a chain state z is the ladder state
-    legs @ z.ravel().
+    through the complex legs (2L, 2L): a chain state z is the ladder
+    state legs @ z.ravel().
 
     The supports are counted in one pass over up to _SUPPORT_CHUNK
     consecutive states of the same rows, not once per step."""
@@ -202,7 +206,7 @@ def _final_mipr_and_support(U, z0, times, legs):
     rows, states = np.arange(len(z0)), [z0]
 
     def count_supports():
-        cells = (np.abs(np.stack(states, axis=1)) ** 2).sum(axis=-2)
+        cells = np.square(np.stack(states, axis=1)).sum(axis=-2)
         max_support[rows] = np.maximum(max_support[rows],
                                        _cell_support(cells).max(axis=1))
 
@@ -219,13 +223,15 @@ def _final_mipr_and_support(U, z0, times, legs):
 
 def _propagate_eig(H, psi0, times, L):
     res = eig(H, want_vectors=True)
+    if not res.evec_condition < _EVEC_CONDITION_MAX:  # e.g. at a defective H
+        raise IllConditioned(
+            f"eigenvector condition {res.evec_condition:.3g} reaches 1/eps: "
+            "no digit of the eigen-expansion is guaranteed")
     V, E = res.right_eigenvectors, res.eigenvalues
     try:
         c = np.linalg.solve(V, psi0)
     except np.linalg.LinAlgError:
         raise IllConditioned("eigenvector matrix is numerically singular")
-    if not np.isfinite(c).all():  # e.g. at a defective H
-        raise IllConditioned("eigen-expansion of the state is not finite")
     with np.errstate(divide="ignore"):
         logc = np.log(np.abs(c))
     # the expansion at every time t_1..t_T at once: row k is time t_{k+1}
@@ -302,7 +308,7 @@ def propagate(H, psi0, t_max, n_steps, method="auto"):
     method "auto" and "expm" step with the one-step matrix exponential,
     which needs no eigenbasis, so it holds at a defective H too. "eig"
     expands in the right eigenbasis, an independent check of the stepper
-    where that basis is well conditioned; IllConditioned where it fails.
+    where that basis is well conditioned; IllConditioned at condition 1/eps.
     The returned trace holds raw states; norms are accumulated in log space
     and an Overflow is raised past 1e300.
     """

@@ -208,27 +208,27 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
     exp(-i dt H) is the two chain exponentials. Odd L and unbalanced legs
     have no chains, and their nodes get the error of build_nhssh.
 
-    One grid row (fixed gbar) at a time: each node's (2, L, L) stack of
-    chain propagators is built on its own, then the row's states advance
-    together, one stacked product per step, and the cell support and the
-    final mIPR are computed on the fly (_final_mipr_and_support). A
-    failure stays at its node.
+    One grid row (fixed gbar) at a time: each node's real (2, L, L) stack
+    of chain propagators (chain entries are imaginary) is built on its
+    own, then the row's real states advance together, one stacked product
+    per step, and the support and the final mIPR are computed on the fly
+    (_final_mipr_and_support). A failure stays at its node.
     """
     times = _time_grid(t_max, n_steps)
     t0_vals, gbar_vals = grid_axes(spec)
     L = spec.L
     W = w_basis(L)
-    wpsi = W @ initial_state(L)
+    wpsi = (W @ initial_state(L)).real  # leg a: both w amplitudes 1/sqrt 2
     out = []
     for gbar in gbar_vals:
-        U = np.empty((len(t0_vals), 2, L, L), dtype=complex)
+        U = np.empty((len(t0_vals), 2, L, L))
         built, status, rows = [], {}, {}
         for i, t0 in enumerate(t0_vals):
             try:
                 params = _node_params(spec, t0, gbar, spec.boundary)
                 chains = np.stack(build_nhssh(params))
                 _require_finite(chains)
-                U[len(built)] = _step_propagator(chains, times)
+                U[len(built)] = _step_propagator(chains.imag, times)
                 built.append((i, nhssh_permutation(params),
                               classify_point(params).label))
             except Exception as exc:  # row-level marker, never abort the grid

@@ -459,6 +459,15 @@ class TestEvolveCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_eig_method_fails_past_condition_one_over_eps(self, tmp_path,
+                                                          capsys):
+        # eigenvector condition 8.05e16 at L = 32: exit 3, no trace
+        rc = run(tmp_path, ["evolve", "--t0", "0.3", "--gbar", "1.2",
+                            "--g0", "0.1", "-L", "32", "--method", "eig"])
+        assert rc == 3
+        assert "eigenvector condition" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         rc = run(tmp_path, ["evolve", "--t0", "0", "--gbar", "4", "--g0",
                             "0", "--L", "10", "--t-max", "400", "--n-steps",

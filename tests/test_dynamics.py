@@ -70,6 +70,23 @@ def loop_propagate_eig(H, psi0, t_max, n_steps):
     return _trace_arrays(times, units, lognorms, H.shape[0] // 2)
 
 
+def assert_expm_equals_plain_step_loop(H, psi, t_max, n_steps, L):
+    """propagate(..., method="expm") against one mat-vec product of the
+    complex scipy.linalg.expm(-1j dt H), norm and log per step, bit for
+    bit."""
+    tr = propagate(H, psi, t_max, n_steps, method="expm")
+    U = scipy.linalg.expm(-1j * (tr.times[1] - tr.times[0]) * H)
+    phi, lognorm = tr.states[:, 0], 0.0
+    for k in range(1, n_steps + 1):
+        phi = U @ phi
+        g = float(np.linalg.norm(phi))
+        lognorm += math.log(g)
+        phi = phi / g
+        assert tr.norms[k] == np.exp(lognorm)
+        assert np.array_equal(tr.states[:, k], phi * tr.norms[k])
+        assert tr.mipr_series[k] == reference_mipr(phi, L)
+
+
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=10, boundary=OBC):
     return ModelParams.from_bars(tbar=tbar, t0=t0, gbar=gbar, g0=g0, L=L,
                                  boundary=boundary)
@@ -261,20 +278,26 @@ class TestPropagate:
             assert overlap[rep] > 0.99
 
     def test_expm_equals_plain_step_loop(self):
-        # one mat-vec product, norm and log per step, bit for bit
         H = build_realspace(params(t0=0.3, gbar=0.9, g0=0.2, L=10))
         psi = initial_state(10, weights=(1.0, 0.5j))
-        tr = propagate(H, psi, 12.0, 60, method="expm")
-        U = scipy.linalg.expm(-1j * (tr.times[1] - tr.times[0]) * H)
-        phi, lognorm = tr.states[:, 0], 0.0
-        for k in range(1, 61):
-            phi = U @ phi
-            g = float(np.linalg.norm(phi))
-            lognorm += math.log(g)
-            phi = phi / g
-            assert tr.norms[k] == np.exp(lognorm)
-            assert np.array_equal(tr.states[:, k], phi * tr.norms[k])
-            assert tr.mipr_series[k] == reference_mipr(phi, 10)
+        assert_expm_equals_plain_step_loop(H, psi, 12.0, 60, 10)
+
+    def test_purely_imaginary_ladder_steps_complex(self):
+        # at t0 = g0 = 0 every entry of H is imaginary, like the chains of
+        # the mIPR map, but the ladder keeps the complex exponential and
+        # stepping
+        H = build_realspace(params(t0=0.0, gbar=0.9, g0=0.0, L=10))
+        assert not H.real.any()
+        assert_expm_equals_plain_step_loop(H, initial_state(10), 12.0, 60, 10)
+
+    def test_eig_refuses_condition_past_one_over_eps(self):
+        # eigenvector condition 8.05e16 > 1/eps: no digit of the expansion
+        # is guaranteed (its trace was 3.9e-9 off the stepper, unmarked)
+        H = build_realspace(params(t0=0.3, gbar=1.2, g0=0.1, L=32))
+        assert eig(H, want_vectors=True).evec_condition >= 1.0 / np.finfo(
+            float).eps
+        with pytest.raises(IllConditioned, match="eigenvector condition"):
+            propagate(H, initial_state(32), 20.0, 200, method="eig")
 
     def test_eig_equals_per_time_loop(self):
         for bc in (OBC, PBC):

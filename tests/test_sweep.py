@@ -569,6 +569,33 @@ class TestMiprMap:
         assert_chain_rows_match(rows, per_node_mipr(s, t_max=10.0,
                                                     n_steps=50))
 
+    def test_l2_pbc_double_bond_equals_per_node_propagate(self):
+        # at L = 2 the closing bond doubles the chain bond it wraps onto;
+        # the real chain stepping still matches the complex ladder rows
+        s = spec(lo=-1.5, hi=1.5, n=4, L=2, boundary=PBC)
+        rows = mipr_map(s, t_max=10.0, n_steps=50)
+        assert all(r.status != "Overflow" for r in rows)
+        assert_chain_rows_match(rows, per_node_mipr(s, t_max=10.0,
+                                                    n_steps=50))
+
+    @pytest.mark.parametrize("L", [2, 40])
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    def test_steps_in_real_arithmetic(self, monkeypatch, L, boundary):
+        # the chain propagators and the start state are real by
+        # construction, so the whole stepping runs in float64
+        seen = []
+        real_run = sweep._final_mipr_and_support
+
+        def recording(U, z0, times, legs):
+            seen.append((U.dtype, z0.dtype))
+            return real_run(U, z0, times, legs)
+
+        monkeypatch.setattr(sweep, "_final_mipr_and_support", recording)
+        rows = mipr_map(spec(lo=0.2, hi=0.8, n=3, L=L, boundary=boundary),
+                        t_max=5.0, n_steps=20)
+        assert all(r.mipr_final is not None for r in rows)
+        assert seen == [(np.dtype(np.float64), np.dtype(np.float64))] * 3
+
     def test_support_matches_before_the_chain_fills(self):
         # short times: the support grows from 1 cell and stays below L,
         # so it is counted from both chains at the cell edge
