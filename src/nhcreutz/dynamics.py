@@ -130,12 +130,10 @@ def _step_stack(U, psi0, times):
     live = np.arange(len(psi0))
     lognorms = [0.0] * len(psi0)
     phi = psi0
-    row_norms = (_row_norms if np.result_type(U, psi0).kind == "c" else
-                 lambda x: np.sqrt(np.vecdot(x, x)))
     for k in range(1, len(times)):
         # one mat-vec product per block, equal to U[i] @ phi[i] bit for bit
         phi = (U @ phi[..., None])[..., 0]
-        g = row_norms(phi.reshape(len(phi), -1))
+        g = _row_norms(phi.reshape(len(phi), -1))
         failed = {}
         for i, gi in enumerate(g.tolist()):
             try:
