@@ -165,8 +165,8 @@ def build_parser():
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--n-steps", type=int, default=200)
     p.add_argument("--method", choices=("auto", "eig", "expm"), default="auto",
-                   help="auto and expm step with the one-step exponential; "
-                        "eig expands in the eigenbasis (fails at defective H)")
+                   help="auto, expm: one-step exponential; eig: eigenbasis "
+                        "expansion, refused at eigenvector condition 1/eps")
     p.add_argument("--self-check", action="store_true",
                    help="cross-validate the trace against an independent "
                         "reconstruction; nonzero exit on mismatch")

@@ -216,14 +216,13 @@ def resolve_structure(params, report, chains=None, dense=None):
         return replace(report, jordan=blocks, defective=any(
             s >= 2 for _, sizes in blocks for s in sizes))
     if report.label == DFB_PBC:
-        obc = replace(params, boundary=OBC)
-        eigs = np.concatenate(obc_spectrum_via_chains(obc))
+        chains = _obc_chain_eigs(replace(params, boundary=OBC))
+        eigs = np.concatenate([lam for lam, _, _, _ in chains])
         near = [(c, np.count_nonzero(np.abs(eigs - c)
                                      <= 1e-6 * np.abs(eigs).max()))
                 for c in dict.fromkeys((report.lam, -report.lam, 0j))]
-        return replace(report, jordan=tuple((c, (1,) * n) for c, n in near
-                                            if n),
-                       defective=condition_defective(_obc_chain_eigs(obc)))
+        report = replace(report, jordan=tuple((c, (1,) * n) for c, n in near
+                                              if n))
     if chains is not None:
         return replace(report, defective=condition_defective(chains))
     if dense is None:

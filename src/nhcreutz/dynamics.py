@@ -15,6 +15,7 @@ _LOG_NORM_MAX = math.log(1e300)
 _SUPPORT_CHUNK = 16
 # an eigen-expansion whose eigenvector condition reaches 1/eps keeps no digit
 _EVEC_CONDITION_MAX = 1.0 / np.finfo(float).eps
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -157,15 +158,27 @@ def _step_stack(U, psi0, times):
 
 
 def _step_propagator(K, times):
-    """exp(dt K) for the spacing dt of the uniform grid times, K = -iH; a
-    stack K (..., n, n) gives the stack of exponentials. Every NH-SSH chain
-    entry is imaginary, so a chain's K = Im H and its propagator are real.
-
-    scipy.linalg is imported here, its only use, so the commands that
-    never step a state do not load it."""
-    import scipy.linalg
-
-    return scipy.linalg.expm((times[1] - times[0]) * K)
+    """exp(dt K) for the spacing dt of the uniform grid times and K = -iH,
+    or a stack of them, in K's dtype (real for the chains: K = Im H).
+    Scaling and squaring (Higham 2005) of the degree-16 Taylor sum, whose
+    remainder is about 2e-17 at 1-norm 3/4, as sum_j A^4j B_j with B_j =
+    sum_i A^i / (4j + i)! in six products (Paterson & Stockmeyer 1973).
+    Overflow where the result leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = (times[1] - times[0]) * K
+        s = max(0, math.frexp(float(np.abs(A).sum(axis=-2).max()) / 0.75)[1])
+        A = A * 0.5 ** s
+        A2 = A @ A
+        eye = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), A.shape)
+        B = np.tensordot(_TAYLOR, np.stack([eye, A, A2, A2 @ A]), 1)
+        A4 = A2 @ A2
+        E = A4 / math.factorial(16) + B[3]
+        for Bj in B[2::-1]:
+            E = E @ A4 + Bj
+        E = np.linalg.matrix_power(E, 2 ** s)  # s squarings
+    if not np.isfinite(E).all():
+        raise Overflow("one-step propagator exceeds the float range")
+    return E
 
 
 def _propagate_expm(H, psi0, times, L):
@@ -285,9 +298,8 @@ def _evolution_inputs(H, psi0, t_max, n_steps, method):
 
 
 def _require_finite(H):
-    """Raise ValueError unless every entry of the complex array H is
-    finite."""
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+    """Raise ValueError unless every entry of the array H is finite."""
+    if not np.isfinite(H).all():
         raise ValueError("H must have finite entries")
 
 

@@ -229,17 +229,16 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
                 chains = np.stack(build_nhssh(params))
                 _require_finite(chains)
                 U[len(built)] = _step_propagator(chains.imag, times)
-                built.append((i, nhssh_permutation(params),
-                              classify_point(params).label))
+                built.append((i, classify_point(params).label))
             except Exception as exc:  # row-level marker, never abort the grid
                 status[i] = type(exc).__name__
         if built:
-            idx, perms, labels = zip(*built)
-            # the permutation depends on L alone: one map back for the row
-            legs = W.conj().T[:, perms[0]]
+            idx, labels = zip(*built)
+            # the permutation depends on L alone: any node's params give it
+            perm = nhssh_permutation(params)
+            z0 = np.tile(wpsi[perm].reshape(2, L), (len(built), 1, 1))
             mipr_final, max_support, dropped = _final_mipr_and_support(
-                U[:len(built)], wpsi[np.array(perms)].reshape(-1, 2, L),
-                times, legs)
+                U[:len(built)], z0, times, W.conj().T[:, perm])
             for j, i in enumerate(idx):
                 if j in dropped:
                     status[i] = type(dropped[j]).__name__

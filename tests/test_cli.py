@@ -748,7 +748,8 @@ class TestImports:
         assert fresh_process(code, tmp_path) == (0, "[]\n", "")
 
     def test_commands_without_stepping_leave_out_scipy(self, tmp_path):
-        # only evolve and mipr step a state, through scipy.linalg.expm
+        # every command, the stepping ones (mipr, evolve --self-check)
+        # included: the one-step exponential is plain numpy
         code = (
             "import sys\n"
             "from nhcreutz.cli import main\n"
@@ -757,12 +758,15 @@ class TestImports:
             "grid = ['--g0', '0.5', '--grid', '3x3', '--range', '-1:1', "
             "'--L', '6']\n"
             "codes = [main(['phase', *grid]), main(['dipr', *grid]), "
+            "main(['mipr', *grid, '--n-steps', '10']), "
             "main(['spectrum', *point, '--boundary', 'both']), "
-            "main(['classify', *point])]\n"
+            "main(['classify', *point]), "
+            "main(['evolve', *point, '--n-steps', '10', '--self-check'])]\n"
             f"print(codes, {SCIPY_LOADED})\n")
         rc, out, err = fresh_process(code, tmp_path)
         # classify prints its report first
-        assert (rc, out.splitlines()[-1], err) == (0, "[0, 0, 0, 0] []", "")
+        assert (rc, out.splitlines()[-1], err) == (
+            0, "[0, 0, 0, 0, 0, 0] []", "")
 
 
 class TestSharedParser:

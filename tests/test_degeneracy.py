@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import nhcreutz
+import nhcreutz.spectral as spectral
 import nhcreutz.sweep as sweep
 from nhcreutz import (
     OBC,
+    PBC,
     GridSpec,
     IllConditioned,
     ImbalancedParameters,
@@ -26,7 +28,8 @@ from nhcreutz import (
     obc_eig_via_chains,
 )
 from nhcreutz.cli import main
-from nhcreutz.degeneracy import _defective_from, closed_form_blocks
+from nhcreutz.degeneracy import (DFB_PBC, _defective_from,
+                                 closed_form_blocks, resolve_structure)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8, **kw):
@@ -428,6 +431,24 @@ class TestDefectiveness:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env).stdout
         assert out.strip() == "False"
+
+
+class TestResolveStructure:
+    @pytest.mark.parametrize("boundary", [OBC, PBC])
+    def test_dfb_pbc_solves_the_chains_once(self, monkeypatch, boundary):
+        # the level count and the defective flag share one chain solve
+        p = params(tbar=0.0, t0=0.0, gbar=1.2, g0=-0.4, L=2,
+                   boundary=boundary)
+        report = classify_point(p)
+        assert report.label == DFB_PBC
+        solves, bonds = [], spectral._chain_bonds
+        monkeypatch.setattr(spectral, "_chain_bonds",
+                            lambda q: solves.append(q) or bonds(q))
+        resolved = resolve_structure(p, report)
+        assert len(solves) == 1 and solves[0].boundary == OBC
+        assert resolved.defective is False
+        lam = report.lam
+        assert resolved.jordan == ((lam, (1,)), (-lam, (1,)))
 
 
 class TestNilpotency:

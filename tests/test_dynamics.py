@@ -16,6 +16,7 @@ from nhcreutz import (
     OutOfRange,
     Overflow,
     ZeroState,
+    build_nhssh,
     build_realspace,
     compacton_support,
     eig,
@@ -72,10 +73,10 @@ def loop_propagate_eig(H, psi0, t_max, n_steps):
 
 def assert_expm_equals_plain_step_loop(H, psi, t_max, n_steps, L):
     """propagate(..., method="expm") against one mat-vec product of the
-    complex scipy.linalg.expm(-1j dt H), norm and log per step, bit for
-    bit."""
+    complex one-step propagator exp(-1j dt H), norm and log per step, bit
+    for bit."""
     tr = propagate(H, psi, t_max, n_steps, method="expm")
-    U = scipy.linalg.expm(-1j * (tr.times[1] - tr.times[0]) * H)
+    U = dynamics._step_propagator(-1j * H, tr.times)
     phi, lognorm = tr.states[:, 0], 0.0
     for k in range(1, n_steps + 1):
         phi = U @ phi
@@ -386,3 +387,51 @@ class TestPropagate:
         assert len(tr.support_series) == 17
         # Hermitian flat bands: compact localization, support stays <= 3
         assert max(tr.support_series) <= 3
+
+
+def mpmath_expm(K, dt, dps=40):
+    """exp(dt K) of one matrix K with mpmath's expm at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.mpf(dt) * mpmath.matrix(K.tolist()))
+        return np.array(E.tolist(), dtype=complex)
+
+
+class TestStepPropagator:
+    @pytest.mark.parametrize("t0, gbar, g0, L, dt", [
+        (0.0, 1.9, 0.0, 8, 1.0),
+        (0.0, 1.9, 0.0, 40, 1.0),
+        (0.3, 1.2, 0.1, 40, 5.0),
+    ])
+    def test_chain_stack_matches_40_digit_expm(self, t0, gbar, g0, L, dt):
+        # scipy.linalg.expm is 1.5e-13 to 2.1e-13 off at these points
+        K = np.stack(build_nhssh(params(t0=t0, gbar=gbar, g0=g0, L=L))).imag
+        U = dynamics._step_propagator(K, np.array([0.0, dt]))
+        assert U.dtype == np.float64
+        # at t0 = g0 = 0 the two chains coincide: one reference serves both
+        _, distinct = np.unique(K, axis=0, return_index=True)
+        for i in distinct:
+            ref = mpmath_expm(K[i], dt)
+            assert np.abs(U[i] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t0, gbar, g0", [
+        (0.3, 1.4, 0.5), (-1.2, 0.7, -0.4), (0.9, -1.1, 0.2), (0.0, 1.9, 0.0)])
+    def test_matches_scipy_at_benchmark_step(self, t0, gbar, g0):
+        # dt = 0.1 as in the benchmark's mipr tiles (chain pairs at L = 40)
+        # and evolve points (ladders at L = 32), where both routes round
+        times = np.linspace(0.0, 20.0, 201)
+        bars = dict(t0=t0, gbar=gbar, g0=g0)
+        for K in (np.stack(build_nhssh(params(**bars, L=40))).imag,
+                  -1j * build_realspace(params(**bars, L=32))):
+            U = dynamics._step_propagator(K, times)
+            ref = scipy.linalg.expm((times[1] - times[0]) * K)
+            assert U.dtype == K.dtype
+            assert np.abs(U - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("gain, t_max", [
+        (1e308, 1.0),  # 1-norm 1e308: halved 1024 times, squared to inf
+        (1e300, 1e10),  # dt K itself leaves the float range
+    ])
+    def test_huge_norm_raises_overflow(self, gain, t_max):
+        with pytest.raises(Overflow, match="float range"):
+            propagate(np.diag([gain * 1j] * 4), np.ones(4), t_max, 1)
