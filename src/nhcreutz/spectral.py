@@ -137,8 +137,9 @@ def classify(eigs, tol_rel=1e-9, tol_abs=0.0):
 
 
 def _split_halves(sq):
-    """The two real L/2 x L/2 halves of a mixed-sign chain with
-    off-diagonal products sq, and whether they split the rotated chain.
+    """The real L/2 x L/2 half A + c e_m e_m^T of each mixed-sign chain in
+    a (..., L-1) stack sq of off-diagonal products, and whether it splits
+    the rotated chain.
 
     The chain needs even order L and palindromic sq. In symmetric form it
     is then centrosymmetric, and the basis (e_j +- e_{L+1-j})/sqrt(2)
@@ -146,28 +147,31 @@ def _split_halves(sq):
     product (Cantoni & Butler, Lin. Alg. Appl. 13, 275 (1976)). A
     negative middle product is split on iT (products -sq) instead, so c
     stays real. A diagonal similarity makes each half real (superdiagonal
-    sqrt|p|, subdiagonal sign(p) sqrt|p|).
+    sqrt|p|, subdiagonal sign(p) sqrt|p|). A has a zero diagonal, so with
+    S = diag((-1)^j) the other half is exactly A - c e_m e_m^T =
+    -S (A + c e_m e_m^T) S: its eigenpairs are (-E, S y) for each (E, y)
+    of the half returned here.
     """
-    L = len(sq) + 1
-    if L % 2 or not np.array_equal(sq, sq[::-1]):
+    L = sq.shape[-1] + 1
+    if L % 2 or not np.array_equal(sq, sq[..., ::-1]):
         raise ValueError("mixed-sign products must be palindromic, even order")
     m = L // 2
-    rotate = sq[m - 1] < 0.0
-    p = -sq[:m] if rotate else sq[:m]
-    s = np.sqrt(np.abs(p[:-1]))
+    rotate = sq[..., m - 1] < 0.0
+    p = np.where(rotate[..., None], -sq[..., :m], sq[..., :m])
+    s = np.sqrt(np.abs(p[..., :-1]))
     j = np.arange(m - 1)
-    halves = np.zeros((2, m, m))
-    halves[:, j, j + 1] = s
-    halves[:, j + 1, j] = np.sign(p[:-1]) * s
-    halves[0, -1, -1] = math.sqrt(p[-1])
-    halves[1, -1, -1] = -math.sqrt(p[-1])
-    return halves, rotate
+    half = np.zeros(sq.shape[:-1] + (m, m))
+    half[..., j, j + 1] = s
+    half[..., j + 1, j] = np.sign(p[..., :-1]) * s
+    half[..., -1, -1] = np.sqrt(p[..., -1])
+    return half, rotate
 
 
 def _golub_kahan(c, vectors=False):
     """Eigenvalues, ascending, of the zero-diagonal real symmetric
     tridiagonal T of even order with couplings c; with vectors=True also
-    its orthonormal eigenvectors as columns.
+    its orthonormal eigenvectors as columns. Values alone are taken for a
+    (..., L-1) stack of couplings too, in one svd call.
 
     With the even sites first, T = [[0, B^T], [B, 0]] with B the upper
     bidiagonal of diagonal c[0::2] and superdiagonal c[1::2] (Golub &
@@ -179,13 +183,19 @@ def _golub_kahan(c, vectors=False):
     modes far below eps ||T|| come out right; B^T would be reduced first
     and lose them.
     """
-    B = np.diag(c[0::2]) + np.diag(c[1::2], 1)
+    m = (c.shape[-1] + 1) // 2
+    j = np.arange(m)
+    B = np.zeros(c.shape[:-1] + (m, m))
+    # summed onto zeros as np.diag sums were: a coupling -0.0 enters as
+    # +0.0, which keeps the singular vectors' signs
+    B[..., j, j] += c[..., 0::2]
+    B[..., j[:-1], j[1:]] += c[..., 1::2]
     if not vectors:
         sigma = np.linalg.svd(B, compute_uv=False)
     else:
         P, sigma, Qt = np.linalg.svd(B)
     # 0.0 - sigma keeps exact zeros +0.0
-    lam = np.concatenate([0.0 - sigma, sigma[::-1]])
+    lam = np.concatenate([0.0 - sigma, sigma[..., ::-1]], axis=-1)
     if not vectors:
         return lam
     Q = Qt.T
@@ -196,23 +206,37 @@ def _golub_kahan(c, vectors=False):
 
 
 def _tridiag_spectrum_from_squares(sq):
-    """Eigenvalues of the zero-diagonal tridiagonal with off-diagonal
-    products sq (spectra depend only on those products).
+    """Eigenvalues (..., L) of the zero-diagonal tridiagonals with a
+    (..., L-1) stack sq of off-diagonal products (spectra depend only on
+    those products); a 1-D sq is one chain.
 
-    Same-sign products give a real or imaginary symmetric tridiagonal,
-    solved by _golub_kahan. Mixed signs go through _split_halves: one
-    real solve of the (2, L/2, L/2) stack replaces a complex L x L one.
+    Same-sign rows give real or imaginary symmetric tridiagonals, solved
+    together by one _golub_kahan call per sign. Mixed-sign rows take one
+    real eigvals call on the stack of their halves (_split_halves): each
+    half gives E0, and its chain has the spectrum [E0, -E0], rotated by -i
+    when split on iT, so it is exactly +-symmetric. A stacked LAPACK call
+    returns each row bit for bit as a call on that row alone.
     """
-    if np.all(sq >= 0.0):
-        return _golub_kahan(np.sqrt(sq)).astype(complex)
-    if np.all(sq <= 0.0):
-        return 1j * _golub_kahan(np.sqrt(-sq))
-    halves, rotate = _split_halves(sq)
-    try:
-        E = np.linalg.eigvals(halves).ravel().astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return -1j * E if rotate else E
+    sq = np.asarray(sq, dtype=float)
+    rows = sq.reshape(-1, sq.shape[-1])
+    out = np.empty((len(rows), rows.shape[-1] + 1), dtype=complex)
+    pos = np.all(rows >= 0.0, axis=-1)
+    neg = np.all(rows <= 0.0, axis=-1) & ~pos
+    mixed = ~(pos | neg)
+    if pos.any():
+        out[pos] = _golub_kahan(np.sqrt(rows[pos]))
+    if neg.any():
+        out[neg] = 1j * _golub_kahan(np.sqrt(-rows[neg]))
+    if mixed.any():
+        half, rotate = _split_halves(rows[mixed])
+        try:
+            E = np.linalg.eigvals(half).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        E[rotate] = -1j * E[rotate]
+        # 0.0 - E keeps exact zeros +0.0
+        out[mixed] = np.concatenate([E, 0.0 - E], axis=-1)
+    return out.reshape(sq.shape[:-1] + out.shape[-1:])
 
 
 def obc_spectrum_via_chains(params):
@@ -221,13 +245,14 @@ def obc_spectrum_via_chains(params):
     Returns (eigs_chain1, eigs_chain2), each length L. Equivalent to the
     gauge transformation in product form: a tridiagonal spectrum depends only
     on the products of opposite off-diagonal pairs, so each chain reduces to
-    a symmetric tridiagonal problem (same-sign products) or to two real
-    half-size problems (mixed signs) that stay well conditioned at system
-    sizes where direct diagonalization of skin-effect matrices fails. Open
+    a symmetric tridiagonal problem (same-sign products) or to one real
+    half-size problem (mixed signs) that stays well conditioned at system
+    sizes where direct diagonalization of skin-effect matrices fails. Both
+    chains are solved in one _tridiag_spectrum_from_squares call. Open
     boundary by construction regardless of params.boundary. Balanced only.
     """
-    return tuple(_tridiag_spectrum_from_squares(sq[:-1])
-                 for _, _, sq in _chain_bonds(params))
+    return tuple(_tridiag_spectrum_from_squares(
+        [sq[:-1] for _, _, sq in _chain_bonds(params)]))
 
 
 def ladder_spectrum(params):
@@ -247,23 +272,26 @@ def _split_eig(s, sq):
     """Eigenpairs of the complex symmetric chain with couplings s, each
     real or imaginary, s^2 = sq up to rounding, sq mixed-sign.
 
-    A vector y of a half of _split_halves, with the half's similarity (a
-    factor -i per negative bond) undone, gives the vector [y; +-Jy]/sqrt(2)
-    of the chain with principal couplings sqrt(p). Here p = sq, or p = -sq
-    when the halves split the rotated chain i S, whose eigenvalues E are
-    i times those of S. Site signs tau carry the vectors to the couplings
-    s, so a column is exactly J-even or J-odd when s is palindromic.
+    One real eig of the half of _split_halves gives (E0, y); the other
+    half has (-E0, S y), S = diag((-1)^j). A half vector y, with the
+    half's similarity (a factor -i per negative bond) undone, gives the
+    vector [y; +-Jy]/sqrt(2) of the chain with principal couplings
+    sqrt(p). Here p = sq, or p = -sq when the halves split the rotated
+    chain i S, whose eigenvalues E are i times those of S. Site signs tau
+    carry the vectors to the couplings s, so a column is exactly J-even or
+    J-odd when s is palindromic.
     """
-    halves, rotate = _split_halves(sq)
-    E, Yh = np.linalg.eig(halves)
-    turns = np.cumsum(np.concatenate([[0], np.diagonal(halves[0], -1) < 0.0]))
+    half, rotate = _split_halves(sq)
+    E, Yh = np.linalg.eig(half)
+    S = np.resize([1.0, -1.0], len(half))[:, None]
+    turns = np.cumsum(np.concatenate([[0], np.diagonal(half, -1) < 0.0]))
     y = np.array([1.0, -1j, -1.0, 1j])[turns % 4, None] \
-        * np.concatenate(Yh, axis=1) / math.sqrt(2.0)
+        * np.hstack([Yh, S * Yh]) / math.sqrt(2.0)
     Y = np.concatenate([y, y[::-1] * np.repeat([1.0, -1.0], len(y))])
     # r is real or imaginary like sqrt(p): r / sqrt(p) = sign(r.real + r.imag)
     r = 1j * s if rotate else s
     tau = np.concatenate([[1.0], np.cumprod(np.sign(r.real + r.imag))])
-    lam = E.ravel().astype(complex)
+    lam = np.concatenate([E, 0.0 - E]).astype(complex)
     return (-1j * lam if rotate else lam), tau[:, None] * Y
 
 

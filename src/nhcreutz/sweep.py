@@ -14,10 +14,10 @@ from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
 from .errors import Overflow
 from .localization import _mean_dipr_chains, mean_dipr
-from .model import (OBC, PBC, ModelParams, build_nhssh, build_realspace,
-                    nhssh_permutation, w_basis)
-from .spectral import (_obc_chain_eigs, classify, eig, ladder_spectrum,
-                       obc_spectrum_via_chains, pbc_dispersion)
+from .model import (OBC, PBC, ModelParams, _chain_bonds, build_nhssh,
+                    build_realspace, nhssh_permutation, w_basis)
+from .spectral import (_obc_chain_eigs, _tridiag_spectrum_from_squares,
+                       classify, eig, ladder_spectrum, pbc_dispersion)
 
 CHAIN_RESIDUAL_GATE = 1e-10
 
@@ -106,8 +106,11 @@ def phase_diagram(spec):
     same-sign nodes (obc_tol_abs).
 
     One grid row (fixed gbar) at a time: the dispersion, M and the class
-    labels are computed for the whole row at once, the chain spectra and
-    the degeneracy label node by node, so a failure stays at its node.
+    labels are computed for the whole row at once. The chain products and
+    the degeneracy label are taken node by node, and the row's (n, 2, L-1)
+    stack of products goes to one _tridiag_spectrum_from_squares call. If
+    that call raises, the row is solved node by node with the same
+    function, so a failure stays at its node.
     """
     t0_vals, gbar_vals = grid_axes(spec)
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L
@@ -118,19 +121,28 @@ def phase_diagram(spec):
         pbc_eigs = np.concatenate([ep, em], axis=-1)
         cls_pbc = classify(pbc_eigs,
                            tol_abs=1e-9 * np.abs(pbc_eigs).max(axis=-1))
-        obc_eigs = np.zeros((len(nodes), 2 * spec.L), dtype=complex)
-        obc_tol = np.zeros(len(nodes))
+        sq = np.zeros((len(nodes), 2, spec.L - 1))
         labels, failed = [], {}
         for i, params in enumerate(nodes):
             try:
-                obc_eigs[i] = np.concatenate(
-                    obc_spectrum_via_chains(replace(params, boundary=OBC)))
-                label = classify_point(params).label
-                obc_tol[i] = obc_tol_abs(params, label, obc_eigs[i])
-                labels.append(label)
+                sq[i] = [b[:-1] for _, _, b in _chain_bonds(params)]
+                labels.append(classify_point(params).label)
             except Exception as exc:  # row-level marker, never abort the grid
                 failed[i] = type(exc).__name__
                 labels.append(None)
+        try:
+            obc_eigs = _tridiag_spectrum_from_squares(sq)
+        except Exception:  # node by node, so the failure stays at its node
+            obc_eigs = np.zeros((len(nodes), 2, spec.L), dtype=complex)
+            for i in set(range(len(nodes))) - failed.keys():
+                try:
+                    obc_eigs[i] = _tridiag_spectrum_from_squares(sq[i])
+                except Exception as exc:
+                    failed[i] = type(exc).__name__
+        obc_eigs = obc_eigs.reshape(len(nodes), 2 * spec.L)
+        obc_tol = np.array([0.0 if i in failed else
+                            obc_tol_abs(params, labels[i], obc_eigs[i])
+                            for i, params in enumerate(nodes)])
         cls_obc = classify(obc_eigs, tol_abs=obc_tol)
         for i, t0 in enumerate(t0_vals):
             if i in failed:

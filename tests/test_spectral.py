@@ -282,21 +282,66 @@ class TestChainSplit:
                 assert E.shape == (L,)
                 assert multiset_dist(E, dense) \
                     <= 1e-12 * np.abs(dense).max()
+                assert np.array_equal(np.sort_complex(E),
+                                      np.sort_complex(-E))
+                if L >= 4:
+                    # the negated half brings no -0.0 part, which a
+                    # spectrum file would write as "-0.0"
+                    parts = np.concatenate([E.real, E.imag])
+                    assert not np.signbit(parts[parts == 0.0]).any()
 
     def test_matches_60_digit_reference(self):
-        # a Complex node of the L = 50 phase map where the dense complex
-        # solve misses M_obc by 2e-10
-        p = params(t0=-0.4831333333333334, gbar=-1.753, g0=-0.901, L=50)
-        c1, c2 = [sq[:-1] for _, _, sq in _chain_bonds(p)]
-        ref = np.concatenate([charpoly_chain_spectrum(c1),
-                              charpoly_chain_spectrum(c2)])
-        E = np.concatenate(obc_spectrum_via_chains(p))
-        emax = np.abs(ref).max()
-        assert multiset_dist(E, ref) <= 1e-13 * emax
-
         def M(eigs):
             return classify(eigs, tol_abs=1e-9 * np.abs(eigs).max()).M
-        assert abs(M(E) - M(ref)) <= 1e-14
+
+        # a Complex node of the L = 50 phase map where the dense complex
+        # solve misses M_obc by 2e-10, then u^2 > 0 > v^2 at L = 40 and
+        # u^2 < 0 < v^2 with an eigenvalue 1.2e-11 at L = 50; each node has
+        # one chain split on T and one on iT
+        for t0, gbar, g0, L in [(-0.4831333333333334, -1.753, -0.901, 50),
+                                (0.49, -0.32, 0.60, 40),
+                                (-1.2, 0.35, 0.45, 50)]:
+            p = params(t0=t0, gbar=gbar, g0=g0, L=L)
+            c1, c2 = [sq[:-1] for _, _, sq in _chain_bonds(p)]
+            ref = np.concatenate([charpoly_chain_spectrum(c1),
+                                  charpoly_chain_spectrum(c2)])
+            E = np.concatenate(obc_spectrum_via_chains(p))
+            emax = np.abs(ref).max()
+            assert multiset_dist(E, ref) <= 1e-13 * emax
+            assert abs(M(E) - M(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("L", [2, 4, 50])
+    def test_stacked_rows_equal_single_rows(self, L):
+        # mixed signs with a middle product of either sign (L >= 4), all
+        # positive, all negative, one zero product and all zero, in one
+        # (3, 4, L-1) stack
+        rng = np.random.default_rng(L)
+        m = L // 2
+        kinds = ["pos", "neg", "one zero", "all zero"]
+        if L >= 4:
+            kinds += ["middle +", "middle -"]
+        rows = []
+        for kind in (kinds * 12)[:12]:
+            half = rng.uniform(0.05, 3.0, m)
+            if kind.startswith("middle"):
+                middle = 1.0 if kind == "middle +" else -1.0
+                half *= rng.choice([-1.0, 1.0], m)
+                half[-2:] = np.abs(half[-2:]) * [-middle, middle]
+            elif kind == "neg":
+                half = -half
+            elif kind == "one zero":
+                half[rng.integers(m)] = 0.0
+                half *= rng.choice([-1.0, 1.0])
+            elif kind == "all zero":
+                half[:] = 0.0
+            rows.append(np.concatenate([half, half[-2::-1]]))
+        rng.shuffle(rows)
+        sq = np.array(rows).reshape(3, 4, L - 1)
+        E = _tridiag_spectrum_from_squares(sq)
+        assert E.shape == (3, 4, L)
+        for i in np.ndindex(3, 4):
+            assert E[i].tobytes() == \
+                _tridiag_spectrum_from_squares(sq[i]).tobytes()
 
     def test_mixed_sign_needs_chain_shape(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import nhcreutz.sweep as sweep
 from nhcreutz.degeneracy import (GENERIC, _defective_from,
                                  condition_defective)
 from nhcreutz.localization import _mean_dipr_chains
+from nhcreutz.model import _chain_bonds
 from nhcreutz.spectral import _obc_chain_eigs
 from nhcreutz import (
     OBC,
@@ -196,14 +197,19 @@ class TestPhaseDiagram:
         s = spec(n=4, L=10)
         clean = phase_diagram(s)
         bad = clean[6]
-        solve = sweep.obc_spectrum_via_chains
+        bad_sq = np.array([sq[:-1] for _, _, sq in _chain_bonds(
+            sweep._node_params(s, bad.t0, bad.gbar, OBC))])
+        solve = sweep._tridiag_spectrum_from_squares
 
-        def failing(params):
-            if (params.t0, params.g1) == (bad.t0, bad.gbar):
+        def failing(sq):
+            # the row's stacked call and the bad node's own call raise; the
+            # node (1, 1) has the same products, so the row call is matched
+            # at the bad node's column
+            if np.array_equal(sq[6 % 4] if sq.ndim == 3 else sq, bad_sq):
                 raise ConvergenceFailure("injected")
-            return solve(params)
+            return solve(sq)
 
-        monkeypatch.setattr(sweep, "obc_spectrum_via_chains", failing)
+        monkeypatch.setattr(sweep, "_tridiag_spectrum_from_squares", failing)
         rows = phase_diagram(s)
         assert rows[6] == GridRow(t0=bad.t0, gbar=bad.gbar,
                                   status="ConvergenceFailure")
