@@ -10,8 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditioned, WrongClass
-from .model import (OBC, ModelParams, build_realspace, derive,
-                    require_balanced)
+from .model import OBC, build_realspace, derive, require_balanced
 from .spectral import _obc_chain_eigs, eig, obc_spectrum_via_chains
 
 GENERIC = "Generic"
@@ -198,7 +197,7 @@ def condition_defective(chains):
     return bool(kappa > KAPPA_MAX)
 
 
-def resolve_structure(params, report, chains=None, dense=None):
+def resolve_structure(params, report, chains=None):
     """The classify_point report at params with the open ladder's Jordan
     blocks and defective flag, from structure alone: closed_form_blocks,
     defective iff a block has size >= 2; on DFB_PBC (balanced legs: only at
@@ -206,30 +205,24 @@ def resolve_structure(params, report, chains=None, dense=None):
     diabolical flat band) size-1 blocks at lam, -lam and 0, as many as the
     OBC chain spectrum holds within 1e-6 max|E|; no blocks at Generic.
     condition_defective decides the rest, on chains (_obc_chain_eigs) if
-    given. Without them dense = eig(build_realspace(params),
-    want_vectors=True) stands in, as where a Generic node's chain solve
-    raised: same-sign nodes are diagonalizable (each chain is similar to
-    an unreduced real or imaginary symmetric tridiagonal), and
-    _defective_from tests the others."""
+    given, which DFB_PBC solves itself when they are not; a Generic report
+    without chains keeps defective None."""
     blocks = closed_form_blocks(report, params.L)
     if blocks is not None:
         return replace(report, jordan=blocks, defective=any(
             s >= 2 for _, sizes in blocks for s in sizes))
     if report.label == DFB_PBC:
-        chains = _obc_chain_eigs(replace(params, boundary=OBC))
-        eigs = np.concatenate([lam for lam, _, _, _ in chains])
+        if chains is None:
+            chains = _obc_chain_eigs(replace(params, boundary=OBC))
+        eigs = np.concatenate([lam for lam, _, _ in chains])
         near = [(c, np.count_nonzero(np.abs(eigs - c)
                                      <= 1e-6 * np.abs(eigs).max()))
                 for c in dict.fromkeys((report.lam, -report.lam, 0j))]
         report = replace(report, jordan=tuple((c, (1,) * n) for c, n in near
                                               if n))
-    if chains is not None:
-        return replace(report, defective=condition_defective(chains))
-    if dense is None:
+    if chains is None:
         return report
-    d = derive(params)
-    return replace(report, defective=d.u2 * d.v2 <= 0.0 and _defective_from(
-        dense.eigenvalues, dense.right_eigenvectors, 1e-6))
+    return replace(report, defective=condition_defective(chains))
 
 
 def _defective_from(eigs, vecs, tol):

@@ -226,7 +226,9 @@ def _tridiag_spectrum_from_squares(sq):
     if pos.any():
         out[pos] = _golub_kahan(np.sqrt(rows[pos]))
     if neg.any():
-        out[neg] = 1j * _golub_kahan(np.sqrt(-rows[neg]))
+        # 0.0 + 1j * sigma keeps the real parts +0.0, where 1j * -sigma
+        # would give -0.0
+        out[neg] = 0.0 + 1j * _golub_kahan(np.sqrt(-rows[neg]))
     if mixed.any():
         half, rotate = _split_halves(rows[mixed])
         try:
@@ -322,7 +324,7 @@ def _balanced_tridiag_eig(up, lo, sq):
         lam = lam.astype(complex)
     elif np.all(s.real == 0.0):
         lam, Y = _golub_kahan(s.imag, vectors=True)
-        lam = 1j * lam
+        lam = 0.0 + 1j * lam
     else:
         lam, Y = _split_eig(s, sq)
     X = d[:, None] * Y
@@ -343,18 +345,13 @@ def _tridiag_residual(up, lo, lam, X):
 
 
 def _obc_chain_eigs(params):
-    """Per OBC chain (lam, Y, X, residual): the eigenpairs of
-    _balanced_tridiag_eig, the balanced vectors Y and the unit columns X,
-    and the largest residual ||T x - lam x|| of X on the chain itself.
-    Balanced OBC only."""
+    """Per OBC chain (lam, Y, X): the eigenpairs of _balanced_tridiag_eig,
+    the balanced vectors Y and the unit columns X. Balanced OBC only."""
     bonds = _chain_bonds(params)
     if params.boundary != OBC:
         raise ValueError("chain eigendecomposition is open-boundary only")
-    out = []
-    for up, lo, sq in bonds:
-        lam, Y, X = _balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
-        out.append((lam, Y, X, _tridiag_residual(up[:-1], lo[:-1], lam, X)))
-    return tuple(out)
+    return tuple(_balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
+                 for up, lo, sq in bonds)
 
 
 def obc_eig_via_chains(params):
@@ -364,14 +361,19 @@ def obc_eig_via_chains(params):
     each chain is balanced bond by bond, solved, unbalanced, and mapped
     back to the site basis. Use this instead of eig(build_realspace(...))
     whenever ladder eigenvectors are needed at system sizes where the skin
-    envelope ruins the dense solve. residual_max is the larger chain
-    residual, which the ladder vectors W^+ P (X1 (+) X2) share up to
-    rounding. dipr_map needs no ladder vectors: it works on the chain
-    eigenpairs underneath (_obc_chain_eigs) directly. The eigenvector
-    condition is not computed (evec_condition is inf). Balanced OBC only;
-    raises SingularGauge on exceptional parameters.
+    envelope ruins the dense solve. residual_max is the larger residual
+    ||T x - lam x|| of the unit chain vectors on their chains, which the
+    ladder vectors W^+ P (X1 (+) X2) share up to rounding. dipr_map needs
+    no ladder vectors: it works on the chain eigenpairs underneath
+    (_obc_chain_eigs) directly. The eigenvector condition is not computed
+    (evec_condition is inf). Balanced OBC only; raises SingularGauge on
+    exceptional parameters.
     """
-    (lam1, _, X1, r1), (lam2, _, X2, r2) = _obc_chain_eigs(params)
+    chains = _obc_chain_eigs(params)
+    residual = max(_tridiag_residual(up[:-1], lo[:-1], lam, X)
+                   for (up, lo, _), (lam, _, X)
+                   in zip(_chain_bonds(params), chains))
+    (lam1, _, X1), (lam2, _, X2) = chains
     L = params.L
     perm = nhssh_permutation(params)
     M = np.zeros((2 * L, 2 * L), dtype=complex)
@@ -380,7 +382,7 @@ def obc_eig_via_chains(params):
     V = w_basis(L).conj().T @ M
     V = V / np.linalg.norm(V, axis=0)
     return SpectrumResult(eigenvalues=np.concatenate([lam1, lam2]),
-                          right_eigenvectors=V, residual_max=max(r1, r2),
+                          right_eigenvectors=V, residual_max=residual,
                           evec_condition=math.inf)
 
 

@@ -1,25 +1,21 @@
 """Parameter-grid engines for phase maps, skin-effect maps, and
 PBC/OBC spectrum overlays."""
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .degeneracy import (GENERIC, classify_point, obc_tol_abs,
-                         resolve_structure)
+from .degeneracy import (GENERIC, classify_point, closed_form_blocks,
+                         obc_tol_abs, resolve_structure)
 from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
-from .errors import Overflow
-from .localization import _mean_dipr_chains, mean_dipr
+from .localization import _mean_dipr_chains
 from .model import (OBC, PBC, ModelParams, _chain_bonds, build_nhssh,
-                    build_realspace, nhssh_permutation, w_basis)
+                    nhssh_permutation, w_basis)
 from .spectral import (_obc_chain_eigs, _tridiag_spectrum_from_squares,
-                       classify, eig, ladder_spectrum, pbc_dispersion)
-
-CHAIN_RESIDUAL_GATE = 1e-10
+                       classify, ladder_spectrum, pbc_dispersion)
 
 
 @dataclass(frozen=True)
@@ -155,42 +151,30 @@ def phase_diagram(spec):
     return out
 
 
-def _chain_route(params):
-    """Per chain (lam, Y, X, residual) of _obc_chain_eigs at a Generic
-    node, and whether both residuals pass CHAIN_RESIDUAL_GATE max|E|;
-    None when the chain solve raises Overflow or LinAlgError."""
-    with contextlib.suppress(Overflow, np.linalg.LinAlgError), \
-            np.errstate(all="ignore"):
-        chains = _obc_chain_eigs(params)
-        gate = CHAIN_RESIDUAL_GATE * max(np.abs(lam).max()
-                                         for lam, _, _, _ in chains)
-        return chains, all(r <= gate for _, _, _, r in chains)
-    return None
-
-
 def _dipr_node(params, report):
     """(mean dIPR, defective) of one OBC node, given its classify_point
-    report. The mean comes from the chain vectors X where the chains of a
-    Generic node solve and pass the gate, else from dense eig.
-    resolve_structure decides defective: in closed form on the loci, else
-    on the chains, or on the dense vectors where the chain solve raised."""
-    route = _chain_route(params) if report.label == GENERIC else None
-    chains, gated = route or (None, False)
-    if gated:
-        return (_mean_dipr_chains([X for _, _, X, _ in chains]),
-                resolve_structure(params, report, chains).defective)
-    res = eig(build_realspace(params), want_vectors=True)
-    return (mean_dipr(res, params.L),
-            resolve_structure(params, report, chains, res).defective)
+    report. On the loci (closed_form_blocks) H is defective or its
+    eigenvalues are degenerate, so the eigenvector average is not a
+    function of H: the mean is None and defective is the closed form's.
+    Elsewhere both come from the two balanced chains (_obc_chain_eigs):
+    the mean from their unit vectors X, defective from resolve_structure
+    on their balanced vectors Y. A failed chain solve raises."""
+    if closed_form_blocks(report, params.L) is not None:
+        return None, resolve_structure(params, report).defective
+    with np.errstate(all="ignore"):
+        chains = _obc_chain_eigs(params)
+    return (_mean_dipr_chains([X for _, _, X in chains]),
+            resolve_structure(params, report, chains).defective)
 
 
 def dipr_map(spec):
     """Eigenstate-averaged half-chain IPR difference and a defectiveness
-    flag per node (_dipr_node). At Generic nodes the average comes
-    straight from the eigenvectors of the two balanced chains
-    (_mean_dipr_chains), with no ladder Hamiltonian or ladder vectors; on
-    the loci and next to them from dense eig. Node by node, failures stay
-    there."""
+    flag per node (_dipr_node). Off the loci the average comes straight
+    from the eigenvectors of the two balanced chains (_mean_dipr_chains),
+    with no ladder Hamiltonian or ladder vectors; on the loci it is None,
+    and the status names the locus. Node by node: a failure, such as a
+    balancing envelope past the float range (Overflow), stays at its node
+    and its name is the row's status."""
     t0_vals, gbar_vals = grid_axes(spec)
     out = []
     for gbar in gbar_vals:

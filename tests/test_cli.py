@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import multiset_dist
-from nhcreutz import cli, degeneracy, dynamics, spectral, sweep
+from nhcreutz import (cli, degeneracy, dynamics, localization, model,
+                      spectral, svgplot, sweep)
 from nhcreutz.cli import main
 from nhcreutz.errors import ConvergenceFailure
 from nhcreutz.model import OBC, PBC, ModelParams, _chain_bonds, build_realspace
@@ -122,14 +123,31 @@ class TestSpectrumCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("dense route taken")
 
-        for mod in (cli, spectral):
-            monkeypatch.setattr(mod, "build_realspace", refuse)
-        monkeypatch.setattr(spectral, "eig", refuse)
+        for mod in (cli, degeneracy, dynamics, localization, model, spectral,
+                    sweep):
+            for name in ("eig", "build_realspace", "mean_dipr"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
         point = ["--t0", "0.8", "--gbar", "0.4", "--g0", "0.5", "--L", "8"]
         assert run(tmp_path, ["spectrum", *point, "--boundary", "both"]) == 0
         for boundary in (OBC, PBC):
             classify_report(tmp_path, capsys,
                             [*point, "--boundary", boundary])
+        # a snapped dipr tile with loci: their rows carry no average
+        tile = ["dipr", "--g0", "0.5", "--grid", "21x21", "--range", "-2:2",
+                "--snap-special", "-L", "10"]
+        for fmt in ("csv", "json", "svg"):
+            assert run(tmp_path, [*tile, "--format", fmt]) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "dipr.csv").read_text().splitlines()[2:]]
+        loci = [r for r in rows if r[4] != "ok"]
+        assert len(rows) == 441 and loci
+        assert all(r[2] == "" and r[3] in ("True", "False") for r in loci)
+        payload = json.loads((tmp_path / "dipr.json").read_text())
+        assert [r[2] is None for r in payload["rows"]] \
+            == [r[4] != "ok" for r in rows]
+        gray = (tmp_path / "dipr.svg").read_text().count(svgplot._NAN_GRAY)
+        assert gray == len(loci)
 
     @pytest.mark.parametrize("extra, boundary, dense", [
         (["--L", "7"], OBC, 1), (["--L", "7"], PBC, 0),

@@ -409,16 +409,16 @@ class TestDefectiveness:
 
     def test_sweep_node_with_non_finite_vector(self, monkeypatch):
         # a mixed-sign Generic node, so the numerical test runs on the
-        # balanced vectors Y; one is poisoned after the residual gate
-        chain_route = sweep._chain_route
+        # balanced vectors Y; one is poisoned after the chain solve
+        chain_eigs = sweep._obc_chain_eigs
 
         def poisoned(params):
-            ((lam, Y, X, r), second), gated = chain_route(params)
+            (lam, Y, X), second = chain_eigs(params)
             Y = Y.copy()
             Y[:, 3] = np.nan
-            return ((lam, Y, X, r), second), gated
+            return (lam, Y, X), second
 
-        monkeypatch.setattr(sweep, "_chain_route", poisoned)
+        monkeypatch.setattr(sweep, "_obc_chain_eigs", poisoned)
         s = GridSpec(t0_range=(0.49, 0.5, 2), gbar_range=(-0.32, -0.31, 2),
                      g0=0.6, L=10)
         assert [r.status for r in dipr_map(s)] == ["LinAlgError"] * 4

@@ -35,8 +35,8 @@ from nhcreutz import (
     spectral_density_M,
 )
 from nhcreutz.model import _chain_bonds
-from nhcreutz.spectral import (_golub_kahan, _split_eig,
-                               _tridiag_spectrum_from_squares)
+from nhcreutz.spectral import (_balanced_tridiag_eig, _golub_kahan,
+                               _split_eig, _tridiag_spectrum_from_squares)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -227,8 +227,10 @@ class TestGolubKahan:
             assert classify_point(p).label == label
             for E, (_, _, sq) in zip(obc_spectrum_via_chains(p),
                                      _chain_bonds(p)):
+                # bit for bit, but zero parts are +0.0 where the old
+                # route's 1j * sigma gave -0.0
                 assert E.tobytes() == \
-                    tridiagonal_solver_spectrum(sq[:-1]).tobytes()
+                    (0.0 + tridiagonal_solver_spectrum(sq[:-1])).tobytes()
 
 
 def dense_chain_spectrum(sq):
@@ -277,18 +279,25 @@ class TestChainSplit:
                 if L >= 4:  # L = 2 has one product, so one sign
                     half[:2] = np.abs(half[:2]) * [1.0, -1.0]
                 sq = np.concatenate([half, half[-2::-1]])
-                E = _tridiag_spectrum_from_squares(sq)
-                dense = dense_chain_spectrum(sq)
-                assert E.shape == (L,)
-                assert multiset_dist(E, dense) \
-                    <= 1e-12 * np.abs(dense).max()
-                assert np.array_equal(np.sort_complex(E),
-                                      np.sort_complex(-E))
-                if L >= 4:
-                    # the negated half brings no -0.0 part, which a
-                    # spectrum file would write as "-0.0"
-                    parts = np.concatenate([E.real, E.imag])
-                    assert not np.signbit(parts[parts == 0.0]).any()
+                c = np.sqrt(np.abs(sq))
+                # the mixed-sign row, then an all-negative one (an
+                # Imaginary-class chain), which the balanced eigensolver
+                # takes too with couplings i c
+                negative = _balanced_tridiag_eig(1j * c, 1j * c, -c * c)[0]
+                for row in (sq, -c * c):
+                    E = _tridiag_spectrum_from_squares(row)
+                    dense = dense_chain_spectrum(row)
+                    assert E.shape == (L,)
+                    assert multiset_dist(E, dense) \
+                        <= 1e-12 * np.abs(dense).max()
+                    assert np.array_equal(np.sort_complex(E),
+                                          np.sort_complex(-E))
+                    # neither the negated half nor a rotated sigma brings
+                    # a -0.0 part, which a spectrum file would write as
+                    # "-0.0"
+                    for eigs in (E, negative):
+                        parts = np.concatenate([eigs.real, eigs.imag])
+                        assert not np.signbit(parts[parts == 0.0]).any()
 
     def test_matches_60_digit_reference(self):
         def M(eigs):

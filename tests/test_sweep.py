@@ -9,7 +9,7 @@ from nhcreutz.degeneracy import (GENERIC, _defective_from,
                                  condition_defective)
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.model import _chain_bonds
-from nhcreutz.spectral import _obc_chain_eigs
+from nhcreutz.spectral import _obc_chain_eigs, _tridiag_residual
 from nhcreutz import (
     OBC,
     PBC,
@@ -238,22 +238,11 @@ def resolvable(p):
     return np.min(np.abs(np.diff(z))) > 1e-10 * np.max(np.abs(z))
 
 
-# Generic nodes (g0 = 0.5) next to an exceptional line, (t0, gbar, L).
-# The chain solve fails or misses the residual gate by more than 10x, so
-# dense eig writes the row
-DENSE_FALLBACK = [
-    # 2e-12 off the exceptional line g = f: chain residual 1.4e-9 against
-    # a gate of 6.3e-11
-    (0.3, 0.7999999999980001, 60),
-    # 1e-9 off g = f: the balancing envelope underflows (Overflow)
-    (0.3, 0.7999999990000001, 200),
-]
-
-# Generic nodes next to an exceptional line whose chain solve passes the
-# gate by more than 10x, (t0, gbar, g0, L); each has a reference in
+# Generic nodes next to an exceptional line whose chain residual is far
+# below 1e-10 max|E|, (t0, gbar, g0, L); each has a reference in
 # TestDiprMap.test_matches_60_digit_reference
 CHAIN_NEAR_EXCEPTIONAL = [
-    # chain residual 4e-14 against a gate of 1.9e-10
+    # chain residual 4e-14 against 1.9e-10
     (-0.05665856467284369, 1.557951337396001, 0.5, 50),
     # v^2 = 0.0198; an edge pair at +-5.85e-31
     (1.714285714285714, 1.0, 0.3, 50),
@@ -261,31 +250,42 @@ CHAIN_NEAR_EXCEPTIONAL = [
 ]
 
 
-def chain_residual_ratio(p):
-    """Largest chain residual over CHAIN_RESIDUAL_GATE max|E|, or inf
-    when the chain solve fails."""
-    try:
-        with np.errstate(all="ignore"):
-            chains = _obc_chain_eigs(p)
-    except (Overflow, np.linalg.LinAlgError):
-        return np.inf
-    lam = np.concatenate([c[0] for c in chains])
-    return max(c[3] for c in chains) \
-        / (sweep.CHAIN_RESIDUAL_GATE * np.abs(lam).max())
-
-
-def chain_gate(p):
-    """The gate decision of sweep._chain_route: True when the chains
-    solve and pass CHAIN_RESIDUAL_GATE."""
-    route = sweep._chain_route(p)
-    return route is not None and route[1]
-
-
 def chain_vectors(p):
-    """The unit chain eigenvectors X of a node that passes the gate."""
-    chains, gated = sweep._chain_route(p)
-    assert gated
-    return [X for _, _, X, _ in chains]
+    """The unit chain eigenvectors X of a node, as dipr_map takes them."""
+    with np.errstate(all="ignore"):
+        return [X for _, _, X in sweep._obc_chain_eigs(p)]
+
+
+# (t0, gbar, g0, 60-digit <dIPR>, L, tolerance)
+DIPR_REFERENCES = [
+    (0.019, -1.0, 0.019, 0.47696770000815109941, 50, 1e-10),
+    (0.8, 0.4, 0.5, 0.0044885113819758139039, 50, 1e-10),
+    # mixed-sign chains (u^2 v^2 < 0)
+    (-1.334, 1.662, -1.371, 0.1436701794046420928525, 50, 1e-10),
+    (1.305, -1.753, -1.628, 0.1517887341768231951028, 50, 1e-10),
+    # next to exceptional lines (CHAIN_NEAR_EXCEPTIONAL), each chain
+    # balanced exactly in mpmath before mpmath.eig. Dense eig gives
+    # -0.3229 at the first node; eigh_tridiagonal chain vectors gave
+    # residuals past 1e-10 max|E| at all three, and dense eig gave
+    # 0.27999 and -0.25863 at the last two
+    (-0.05665856467284369, 1.557951337396001, 0.5,
+     -0.25688249570868582072, 50, 1e-10),
+    (1.714285714285714, 1.0, 0.3, 0.26264440953516204891, 50, 1e-10),
+    (-1.7142857142857144, -1.0, 0.3, -0.26264440953516127175, 50, 1e-10),
+    # same-sign chains with a near-degenerate pair: eigh_tridiagonal
+    # vectors gave -0.00687
+    (0.952, 0.019, 0.019, -0.011225316153020550164, 50, 1e-10),
+    # 2e-12 off the exceptional line g = f: the chain residual is 1.4e-9,
+    # 22 times 1e-10 max|E|, yet the vectors are right; dense eig gives
+    # -0.39005 (-0.40425 under a multithreaded BLAS)
+    (0.3, 0.7999999999980001, 0.5, -0.36323434865226117, 60, 1e-13),
+]
+
+
+def reference_id(t0, gbar, g0, ref, L, tol):
+    """Test id of a DIPR_REFERENCES row: the node and its reference, and
+    L where it is not 50."""
+    return "-".join(map(str, (t0, gbar, g0, ref) + ((L,) if L != 50 else ())))
 
 
 class TestDiprMap:
@@ -297,13 +297,14 @@ class TestDiprMap:
                      g0=0.5, L=50, snap_special=True)
         el = [r for r in dipr_map(s) if r.degeneracy_label in ("ELu", "ELv")]
         assert len(el) == 8
+        # an eigenvector average of a defective H is not a function of H
         assert all(r.defective is True and r.status == r.degeneracy_label
-                   for r in el)
+                   and r.mean_dipr is None for r in el)
 
     def test_values_match_direct(self):
         # each row equals the route dipr_map documents (the direct formula
-        # on the chain eigenvectors at Generic nodes, dense eig on the
-        # loci), the ladder vectors of obc_eig_via_chains to rounding, and
+        # on the chain eigenvectors at Generic nodes, None on the loci),
+        # the ladder vectors of obc_eig_via_chains to rounding, and
         # dense eig wherever the ladder spectrum is resolvable. At (0, 0)
         # both chains carry the same products, so every eigenvalue is
         # shared: the dense average there depends on the eigenbasis LAPACK
@@ -321,7 +322,8 @@ class TestDiprMap:
                 assert r.mean_dipr == pytest.approx(
                     mean_dipr(obc_eig_via_chains(p), 10), abs=1e-14)
             else:
-                assert r.mean_dipr == dense
+                assert r.mean_dipr is None
+                continue
             if resolvable(p):
                 n_resolvable += 1
                 assert r.mean_dipr == pytest.approx(dense, abs=1e-10)
@@ -331,26 +333,9 @@ class TestDiprMap:
         assert not resolvable(p00)
         assert rows[4].mean_dipr == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("t0, gbar, g0, ref", [
-        (0.019, -1.0, 0.019, 0.47696770000815109941),
-        (0.8, 0.4, 0.5, 0.0044885113819758139039),
-        # mixed-sign chains (u^2 v^2 < 0)
-        (-1.334, 1.662, -1.371, 0.1436701794046420928525),
-        (1.305, -1.753, -1.628, 0.1517887341768231951028),
-        # next to exceptional lines (CHAIN_NEAR_EXCEPTIONAL), each chain
-        # balanced exactly in mpmath before mpmath.eig. Dense eig gives
-        # -0.3229 at the first node; eigh_tridiagonal chain vectors
-        # missed the residual gate at all three, and dense eig gave
-        # 0.27999 and -0.25863 at the last two
-        (-0.05665856467284369, 1.557951337396001, 0.5,
-         -0.25688249570868582072),
-        (1.714285714285714, 1.0, 0.3, 0.26264440953516204891),
-        (-1.7142857142857144, -1.0, 0.3, -0.26264440953516127175),
-        # same-sign chains with a near-degenerate pair: eigh_tridiagonal
-        # vectors passed the gate here and gave -0.00687
-        (0.952, 0.019, 0.019, -0.011225316153020550164),
-    ])
-    def test_matches_60_digit_reference(self, t0, gbar, g0, ref):
+    @pytest.mark.parametrize("t0, gbar, g0, ref, L, tol", DIPR_REFERENCES,
+                             ids=[reference_id(*c) for c in DIPR_REFERENCES])
+    def test_matches_60_digit_reference(self, t0, gbar, g0, ref, L, tol):
         # References: each chain of build_nhssh, built from the same
         # binary parameter values, diagonalized by mpmath.eig at 60
         # significant digits (at 90 digits the first 20 are the same).
@@ -363,21 +348,19 @@ class TestDiprMap:
         # complex L x L eig of each balanced mixed-sign chain gives 0.1338
         # and 0.1421 at the last two.
         s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
-                     gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=50)
+                     gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=L)
         row = dipr_map(s)[0]
         assert (row.t0, row.gbar, row.status) == (t0, gbar, "ok")
-        assert abs(row.mean_dipr - ref) <= 1e-10
+        assert abs(row.mean_dipr - ref) <= tol
 
-    @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
-    def test_near_exceptional_node_falls_back_to_dense(self, t0, gbar, L):
-        # Generic nodes whose chain solve fails the residual gate take
-        # dense eig, and never write the chain average
-        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
-        assert classify_point(p).label == GENERIC
-        assert chain_residual_ratio(p) > 10.0
-        assert not chain_gate(p)
-        dense = mean_dipr(eig(build_realspace(p), want_vectors=True), L)
-        assert sweep._dipr_node(p, classify_point(p)) == (dense, False)
+    def test_envelope_past_float_range_marked(self):
+        # 1e-9 off the exceptional line g = f at L = 200 the balancing
+        # envelope underflows: the row says so and writes no average
+        s = GridSpec(t0_range=(0.3, 0.4, 2),
+                     gbar_range=(0.7999999990000001, 0.9, 2), g0=0.5, L=200)
+        row = dipr_map(s)[0]
+        assert (row.status, row.mean_dipr, row.defective) \
+            == ("Overflow", None, None)
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
@@ -439,7 +422,7 @@ class TestDiprMap:
                                   g0=-0.859, L=50)
         d = derive(p)
         assert d.u2 * d.v2 < 0.0
-        (lam, Y, X, _), _ = _obc_chain_eigs(p)
+        (lam, Y, X), _ = _obc_chain_eigs(p)
         gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(len(lam), np.inf))
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         eps = abs(lam[i])
@@ -474,18 +457,6 @@ def ladder_residual(res, p):
                           axis=0).max()
 
 
-def ladder_gate(p):
-    """The residual gate as taken on the ladder vectors of
-    obc_eig_via_chains and the dense ladder: True when they pass it."""
-    try:
-        with np.errstate(all="ignore"):
-            res = obc_eig_via_chains(p)
-    except (Overflow, np.linalg.LinAlgError):
-        return False
-    return bool(ladder_residual(res, p) <= sweep.CHAIN_RESIDUAL_GATE
-                * np.abs(res.eigenvalues).max())
-
-
 def random_generic_nodes(L, n, seed):
     """n random Generic nodes at size L whose chain solve succeeds, as
     (params, u^2 v^2 > 0)."""
@@ -507,8 +478,8 @@ def random_generic_nodes(L, n, seed):
 
 
 class TestChainRoute:
-    """The dIPR map's chain route (sweep._chain_route, the direct formula
-    and the condition test) against the ladder vectors of
+    """The dIPR map's chain route (sweep._obc_chain_eigs, the direct
+    formula and the condition test) against the ladder vectors of
     obc_eig_via_chains and the clustered-rank test."""
 
     @pytest.mark.parametrize("L, seed", [(10, 1), (50, 2)])
@@ -521,29 +492,27 @@ class TestChainRoute:
                 chains = _obc_chain_eigs(p)
                 ladder = obc_eig_via_chains(p)
             scale = np.abs(ladder.eigenvalues).max()
-            residual = max(r for _, _, _, r in chains)
+            residual = max(_tridiag_residual(up[:-1], lo[:-1], lam, X)
+                           for (up, lo, _), (lam, _, X)
+                           in zip(_chain_bonds(p), chains))
             assert ladder.residual_max == residual
             assert abs(residual - ladder_residual(ladder, p)) <= 1e-12 * scale
-            direct = _mean_dipr_chains([X for _, _, X, _ in chains])
+            direct = _mean_dipr_chains([X for _, _, X in chains])
             assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
-            assert chain_gate(p) == ladder_gate(p)
             # the c-product condition test against the clustered-rank test
             # on the same balanced vectors Y
             assert condition_defective(chains) is any(
-                _defective_from(lam, Y, 1e-6) for lam, Y, _, _ in chains)
-
-    @pytest.mark.parametrize("t0, gbar, L", DENSE_FALLBACK)
-    def test_gate_unchanged_near_exceptional_lines(self, t0, gbar, L):
-        p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=0.5, L=L)
-        assert not chain_gate(p)
-        assert not ladder_gate(p)
+                _defective_from(lam, Y, 1e-6) for lam, Y, _ in chains)
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_gate_passes_near_exceptional_lines(self, t0, gbar, g0, L):
+        # next to an exceptional line the chain vectors keep residuals 10x
+        # below 1e-10 max|E|, on the chains and on the dense ladder alike
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
-        assert chain_residual_ratio(p) < 0.1
-        assert chain_gate(p)
-        assert ladder_gate(p)
+        res = obc_eig_via_chains(p)
+        bound = 1e-11 * np.abs(res.eigenvalues).max()
+        assert res.residual_max < bound
+        assert ladder_residual(res, p) < bound
 
 
 class TestMiprMap:
