@@ -205,17 +205,95 @@ def _golub_kahan(c, vectors=False):
     return lam, Y / math.sqrt(2.0)
 
 
+def _power(z, m):
+    """z ** m for an integer m >= 1 by repeated squaring; numpy's complex
+    power is slower, and from m = 100 on it goes through logarithms."""
+    out = None
+    while True:
+        if m & 1:
+            out = z if out is None else out * z
+        m >>= 1
+        if not m:
+            return out
+        z = z * z
+
+
+def _ssh_squares(a, b, n):
+    """The n values lam = E^2 of each SSH chain of order L = 2n with
+    off-diagonal products a, b, a, ..., a, from the roots of one scalar
+    equation; a and b are (m,) arrays of opposite signs. Returns (lam,
+    ok), lam (m, n) and ok the rows that pass the certificate.
+
+    lam is an eigenvalue of the n x n block M of T^2 with diagonal (a,
+    a+b, ..., a+b) and off-diagonal products ab. With r = sqrt(b)/sqrt(a)
+    and z + 1/z = (lam - a - b)/sqrt(ab), the boundary rows of M give
+    z^(2n+1) (z + r) = 1 + r z; the roots z = +-1 are spurious, and each
+    pair (z, 1/z) is one lam = (sqrt(a) + sqrt(b) z)(sqrt(a) + sqrt(b)/z)
+    (Yueh, Appl. Math. E-Notes 5, 66 (2005); Alase, Cobanera, Ortiz &
+    Viola, PRL 117, 076804 (2016)). Root k is seeded at theta = pi k /
+    (n+1), improved by 6 fixed-point steps theta = (2 pi k - i log
+    g(e^(i theta)))/(2n+1), g(z) = (1 + r z)/(z + r), and by 8 Newton
+    steps on the polynomial. At |r| > (n+1)/n one pair has left the unit
+    circle: root n starts at the edge root z = -1/r instead. There 1 + r z
+    cancels, so where |1 + r z| < 1/2 lam is taken from the equal
+    z^(2n+1) (sqrt(a) z + sqrt(b))(sqrt(a) + sqrt(b)/z), which keeps the
+    edge mode's relative accuracy.
+
+    The certificate is Newton's identities: sum lam = tr M within 1e-12 n
+    max|lam|, and sum lam^2 = tr M^2 within 1e-12 n max|lam|^2. It checks
+    absolute accuracy only; a failed row (two roots on one pair, or a
+    pair close to z = +-1 near |r| = (n+1)/n) is left to the caller.
+    """
+    sa = np.sqrt(a.astype(complex))[:, None]
+    sb = np.sqrt(b.astype(complex))[:, None]
+    r = sb / sa
+    k = np.arange(1, n + 1)
+    with np.errstate(all="ignore"):
+        z = np.exp(1j * np.pi / (n + 1) * k)
+        for _ in range(6):
+            g = (1.0 + r * z) / (z + r)
+            # z = e^(i theta) with log g = log|g| + i arg g, several times
+            # faster than numpy's complex log
+            z = np.exp((np.log(np.abs(g))
+                        + 1j * (2.0 * np.pi * k + np.angle(g))) / (2 * n + 1))
+        edge = np.abs(r[:, 0]) > (n + 1) / n
+        z[edge, -1] = -1.0 / r[edge, 0]
+        for _ in range(8):
+            zn = _power(z, 2 * n)
+            q = z + r
+            z = z - (zn * z * q - 1.0 - r * z) \
+                / ((2 * n + 1) * zn * q + zn * z - r)
+        # sqrt(a) + sqrt(b) z, exactly z^(2n+1) (sqrt(a) z + sqrt(b)) at a root
+        w = np.where(np.abs(1.0 + r * z) < 0.5,
+                     _power(z, 2 * n + 1) * (sa * z + sb), sa + sb * z)
+        lam = w * (sa + sb / z)
+        top = np.abs(lam).max(axis=-1)
+        tol = 1e-12 * n * top
+        ok = (np.isfinite(top)
+              & (np.abs(lam.sum(axis=-1) - n * a - (n - 1) * b) <= tol)
+              & (np.abs((lam * lam).sum(axis=-1) - a * a
+                        - (n - 1) * ((a + b) ** 2 + 2.0 * a * b))
+                 <= tol * top))
+    return lam, ok
+
+
 def _tridiag_spectrum_from_squares(sq):
     """Eigenvalues (..., L) of the zero-diagonal tridiagonals with a
     (..., L-1) stack sq of off-diagonal products (spectra depend only on
     those products); a 1-D sq is one chain.
 
     Same-sign rows give real or imaginary symmetric tridiagonals, solved
-    together by one _golub_kahan call per sign. Mixed-sign rows take one
-    real eigvals call on the stack of their halves (_split_halves): each
-    half gives E0, and its chain has the spectrum [E0, -E0], rotated by -i
-    when split on iT, so it is exactly +-symmetric. A stacked LAPACK call
-    returns each row bit for bit as a call on that row alone.
+    together by one _golub_kahan call per sign. A mixed-sign chain has
+    the spectrum [E0, -E0], exactly +-symmetric, and its n = L/2 values
+    E0 take one of two routes:
+    - roots, then certificate: a row with 2-periodic products a, b, ...,
+      a (every SSH chain of the ladder) gets E0 = sqrt(lam) from the
+      roots of _ssh_squares;
+    - fallback: the other rows, and those that fail the certificate,
+      take one real eigvals call on the stack of their halves
+      (_split_halves), E0 rotated by -i when split on iT.
+    Each row takes its route alone, so a stacked call returns each row
+    bit for bit as a call on that row alone.
     """
     sq = np.asarray(sq, dtype=float)
     rows = sq.reshape(-1, sq.shape[-1])
@@ -230,12 +308,26 @@ def _tridiag_spectrum_from_squares(sq):
         # would give -0.0
         out[neg] = 0.0 + 1j * _golub_kahan(np.sqrt(-rows[neg]))
     if mixed.any():
-        half, rotate = _split_halves(rows[mixed])
-        try:
-            E = np.linalg.eigvals(half).astype(complex)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        E[rotate] = -1j * E[rotate]
+        rows = rows[mixed]
+        L = rows.shape[-1] + 1
+        E = np.empty((len(rows), L // 2), dtype=complex)
+        rest = np.ones(len(rows), dtype=bool)
+        if L % 2 == 0:
+            periodic = (np.all(rows[:, 0::2] == rows[:, :1], axis=-1)
+                        & np.all(rows[:, 1::2] == rows[:, 1:2], axis=-1))
+            lam, ok = _ssh_squares(rows[periodic, 0], rows[periodic, 1],
+                                   L // 2)
+            rest[np.flatnonzero(periodic)[ok]] = False
+            # 0.0 + keeps the parts +0.0
+            E[~rest] = 0.0 + np.sqrt(lam[ok])
+        if rest.any():
+            half, rotate = _split_halves(rows[rest])
+            try:
+                E0 = np.linalg.eigvals(half).astype(complex)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(str(exc)) from exc
+            E0[rotate] = -1j * E0[rotate]
+            E[rest] = E0
         # 0.0 - E keeps exact zeros +0.0
         out[mixed] = np.concatenate([E, 0.0 - E], axis=-1)
     return out.reshape(sq.shape[:-1] + out.shape[-1:])
@@ -247,9 +339,10 @@ def obc_spectrum_via_chains(params):
     Returns (eigs_chain1, eigs_chain2), each length L. Equivalent to the
     gauge transformation in product form: a tridiagonal spectrum depends only
     on the products of opposite off-diagonal pairs, so each chain reduces to
-    a symmetric tridiagonal problem (same-sign products) or to one real
-    half-size problem (mixed signs) that stays well conditioned at system
-    sizes where direct diagonalization of skin-effect matrices fails. Both
+    a symmetric tridiagonal problem (same-sign products) or, with mixed
+    signs, to the roots of its SSH equation (certified, with one real
+    half-size eigvals as the fallback); both stay accurate at system sizes
+    where direct diagonalization of skin-effect matrices fails. Both
     chains are solved in one _tridiag_spectrum_from_squares call. Open
     boundary by construction regardless of params.boundary. Balanced only.
     """

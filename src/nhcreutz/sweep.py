@@ -104,9 +104,11 @@ def phase_diagram(spec):
     One grid row (fixed gbar) at a time: the dispersion, M and the class
     labels are computed for the whole row at once. The chain products and
     the degeneracy label are taken node by node, and the row's (n, 2, L-1)
-    stack of products goes to one _tridiag_spectrum_from_squares call. If
-    that call raises, the row is solved node by node with the same
-    function, so a failure stays at its node.
+    stack of products goes to one _tridiag_spectrum_from_squares call: one
+    svd per sign for the same-sign chains, the certified SSH roots for the
+    mixed-sign ones, and one eigvals call on the halves of the few that
+    fail the certificate. If that call raises, the row is solved node by
+    node with the same function, so a failure stays at its node.
     """
     t0_vals, gbar_vals = grid_axes(spec)
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L

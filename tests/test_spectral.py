@@ -14,6 +14,7 @@ from nhcreutz import (
     OBC,
     PBC,
     REAL,
+    GridSpec,
     ImbalancedParameters,
     ModelParams,
     Overflow,
@@ -32,11 +33,14 @@ from nhcreutz import (
     obc_eig_via_chains,
     obc_spectrum_via_chains,
     pbc_dispersion,
+    phase_diagram,
     spectral_density_M,
 )
+from nhcreutz import spectral
 from nhcreutz.model import _chain_bonds
 from nhcreutz.spectral import (_balanced_tridiag_eig, _golub_kahan,
-                               _split_eig, _tridiag_spectrum_from_squares)
+                               _split_eig, _split_halves, _ssh_squares,
+                               _tridiag_spectrum_from_squares)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -269,6 +273,42 @@ def charpoly_chain_spectrum(sq, dps=60):
                          for mu in mus for s in (1, -1)])
 
 
+def ssh_rows(L, count, seed):
+    """The products of both chains of random balanced nodes with u^2 v^2
+    < 0: 2-periodic rows a, b, ..., a, mixed-sign at L >= 4."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        t0, gbar, g0 = rng.uniform(-1.5, 1.5, 3)
+        p = params(t0=t0, gbar=gbar, g0=g0, L=L)
+        d = derive(p)
+        if d.u2 * d.v2 < 0.0:
+            rows += [sq[:-1] for _, _, sq in _chain_bonds(p)]
+    return rows[:count]
+
+
+def ssh_row(a, b, L):
+    sq = np.full(L - 1, float(a))
+    sq[1::2] = b
+    return sq
+
+
+def certified(sq):
+    """Whether the root route of _tridiag_spectrum_from_squares takes the
+    2-periodic mixed-sign row sq."""
+    return bool(_ssh_squares(sq[:1], sq[1:2], (len(sq) + 1) // 2)[1][0])
+
+
+def half_eigvals_route(sq):
+    """The spectrum of a mixed-sign row from the eigvals of its half, as
+    _tridiag_spectrum_from_squares computed every mixed-sign row before
+    the root route."""
+    half, rotate = _split_halves(sq)
+    E = np.linalg.eigvals(half).astype(complex)
+    E[rotate] = -1j * E[rotate]
+    return np.concatenate([E, 0.0 - E], axis=-1)
+
+
 class TestChainSplit:
     def test_matches_dense_on_random_mixed_sign_products(self):
         rng = np.random.default_rng(11)
@@ -299,6 +339,24 @@ class TestChainSplit:
                         parts = np.concatenate([eigs.real, eigs.imag])
                         assert not np.signbit(parts[parts == 0.0]).any()
 
+    def test_matches_dense_on_ssh_chains(self):
+        # the 2-periodic rows of random nodes, which the root route takes
+        # unless the certificate fails
+        taken = total = 0
+        for L in range(2, 51, 2):
+            for row in ssh_rows(L, 6, seed=L):
+                E = _tridiag_spectrum_from_squares(row)
+                dense = dense_chain_spectrum(row)
+                assert multiset_dist(E, dense) <= 1e-12 * np.abs(dense).max()
+                assert np.array_equal(np.sort_complex(E),
+                                      np.sort_complex(-E))
+                parts = np.concatenate([E.real, E.imag])
+                assert not np.signbit(parts[parts == 0.0]).any()
+                if L >= 4:
+                    total += 1
+                    taken += certified(row)
+        assert taken >= 0.9 * total
+
     def test_matches_60_digit_reference(self):
         def M(eigs):
             return classify(eigs, tol_abs=1e-9 * np.abs(eigs).max()).M
@@ -323,7 +381,7 @@ class TestChainSplit:
     def test_stacked_rows_equal_single_rows(self, L):
         # mixed signs with a middle product of either sign (L >= 4), all
         # positive, all negative, one zero product and all zero, in one
-        # (3, 4, L-1) stack
+        # (4, 4, L-1) stack
         rng = np.random.default_rng(L)
         m = L // 2
         kinds = ["pos", "neg", "one zero", "all zero"]
@@ -344,11 +402,20 @@ class TestChainSplit:
             elif kind == "all zero":
                 half[:] = 0.0
             rows.append(np.concatenate([half, half[-2::-1]]))
+        # then four 2-periodic rows of random nodes; at L >= 4 the last is
+        # one that fails the root certificate
+        extra = ssh_rows(L, 4, seed=100 + L)
+        if L >= 4:
+            n = L // 2
+            extra[-1] = ssh_row(0.7, -0.7 * (1.02 * (n + 1) / n) ** 2, L)
+            assert any(map(certified, extra[:-1]))
+            assert not certified(extra[-1])
+        rows += extra
         rng.shuffle(rows)
-        sq = np.array(rows).reshape(3, 4, L - 1)
+        sq = np.array(rows).reshape(4, 4, L - 1)
         E = _tridiag_spectrum_from_squares(sq)
-        assert E.shape == (3, 4, L)
-        for i in np.ndindex(3, 4):
+        assert E.shape == (4, 4, L)
+        for i in np.ndindex(4, 4):
             assert E[i].tobytes() == \
                 _tridiag_spectrum_from_squares(sq[i]).tobytes()
 
@@ -357,6 +424,123 @@ class TestChainSplit:
             _tridiag_spectrum_from_squares(np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError):
             _tridiag_spectrum_from_squares(np.array([1.0, -1.0]))
+
+
+def chain_M(eigs):
+    """M of a spectrum with |E| <= 1e-9 max|E| counted as real, the cut of
+    phase_diagram off the same-sign nodes."""
+    return classify(eigs, tol_abs=1e-9 * np.abs(eigs).max()).M
+
+
+class TestSSHRoots:
+    def test_edge_pair_of_a_benchmark_node_matches_80_digits(self):
+        # a snapped node of a benchmark phase tile: chain one has the edge
+        # pair |E| = 6.6585021e-9, above the 1e-9 max|E| cut, so its angle
+        # enters M_obc; the half-size eigvals is off at the 8th digit there
+        p = params(t0=-0.5344666666666669, gbar=-1.839, g0=-0.897, L=50)
+        rows = [sq[:-1] for _, _, sq in _chain_bonds(p)]
+        assert all(map(certified, rows))
+        E = obc_spectrum_via_chains(p)
+        ref = [charpoly_chain_spectrum(row, dps=80) for row in rows]
+        edge = np.abs(ref[0]).min()
+        assert 6.6585e-9 < edge < 6.6586e-9
+        assert edge > 1e-9 * np.abs(np.concatenate(ref)).max()
+        assert abs(np.abs(E[0]).min() - edge) <= 1e-12 * edge
+        for got, want in zip(E, ref):
+            assert multiset_dist(got, want) <= 1e-13 * np.abs(want).max()
+        assert abs(chain_M(np.concatenate(E))
+                   - chain_M(np.concatenate(ref))) <= 1e-14
+
+    def test_tiny_edge_mode_matches_80_digits(self):
+        # (a, b) = (-0.3, 0.9) at n = 25: the smallest lam = E^2 is
+        # 1.89e-12, where 1 + r z cancels at the edge root
+        sq = ssh_row(-0.3, 0.9, 50)
+        assert certified(sq)
+        lam, _ = _ssh_squares(sq[:1], sq[1:2], 25)
+        assert 1.88e-12 < np.abs(lam).min() < 1.90e-12
+        E = _tridiag_spectrum_from_squares(sq)
+        ref = charpoly_chain_spectrum(sq, dps=80)
+        edge = np.abs(ref).min()
+        assert abs(np.abs(E).min() - edge) <= 1e-12 * edge
+        assert multiset_dist(E, ref) <= 1e-13 * np.abs(ref).max()
+        assert abs(chain_M(E) - chain_M(ref)) <= 1e-14
+
+    def test_fallback_rows_equal_half_eigvals_bytes(self):
+        # rows the certificate refuses (|r| near (n+1)/n) and rows that
+        # are not 2-periodic take the half-size eigvals as before, alone
+        # and in a stack with rows the root route takes
+        rng = np.random.default_rng(31)
+        for L in (4, 10, 50):
+            n = L // 2
+            refused = [ssh_row(s * 0.7, -s * 0.7 * (f * (n + 1) / n) ** 2, L)
+                       for s in (1.0, -1.0) for f in (1.01, 1.02)]
+            assert not any(map(certified, refused))
+            other = []  # palindromic, 2-periodic only at L = 4
+            for _ in range(4 if L > 4 else 0):
+                half = rng.uniform(0.05, 3.0, n) * rng.choice([-1.0, 1.0], n)
+                half[:2] = np.abs(half[:2]) * [1.0, -1.0]
+                other.append(np.concatenate([half, half[-2::-1]]))
+            rows = np.array(refused + other)
+            for row in rows:
+                assert _tridiag_spectrum_from_squares(row).tobytes() == \
+                    half_eigvals_route(row).tobytes()
+            stack = np.concatenate([rows, ssh_rows(L, 4, seed=L)])
+            E = _tridiag_spectrum_from_squares(stack)
+            assert E[:len(rows)].tobytes() == \
+                half_eigvals_route(rows).tobytes()
+
+    def test_fallback_share_on_a_phase_tile(self, monkeypatch):
+        # one L = 50 tile of the benchmark's phase workload: the rows
+        # that reach eigvals are the fallback, 5% of the mixed-sign chains
+        # at most
+        eigvals = np.linalg.eigvals
+        calls = []
+
+        def counting(a):
+            calls.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(spectral.np.linalg, "eigvals", counting)
+        s = GridSpec(t0_range=(-1.2, 1.2, 16), gbar_range=(-1.2, 1.2, 16),
+                     g0=-0.45, L=50)
+        rows = phase_diagram(s)
+        assert all(r.status == "ok" for r in rows)
+        nodes = [derive(params(t0=r.t0, gbar=r.gbar, g0=-0.45, L=50))
+                 for r in rows]
+        mixed = 2 * sum(d.u2 * d.v2 < 0.0 for d in nodes)
+        assert mixed >= 200
+        assert sum(calls) <= 0.05 * mixed
+
+
+class TestThermodynamicLimit:
+    # L |M_obc(L) - M_inf| on these nodes runs from 0.2 to 1.8 at L = 50,
+    # 200, 400 and 800, nearly constant in L: the boundary's 1/L share
+    C = 2.0
+
+    @staticmethod
+    def M_inf(p, n_theta=4096):
+        """M of the bulk band lam(theta) = u^2 + v^2 + 2 u v cos(theta),
+        E = +-sqrt(lam), by the midpoint rule over theta in (0, pi)."""
+        d = derive(p)
+        theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        lam = d.u * d.u + d.v * d.v + 2.0 * d.u * d.v * np.cos(theta)
+        return spectral_density_M(np.sqrt(lam.astype(complex)))
+
+    @pytest.mark.parametrize("t0, gbar, g0", [
+        (0.915, 0.924, 0.031),     # u^2 > 0 > v^2
+        (-0.275, -1.364, -0.902),  # an edge pair on chain one
+        (1.033, -0.323, -0.014),
+        (-0.686, 1.139, -0.872),
+    ])
+    def test_M_obc_within_C_over_L(self, t0, gbar, g0):
+        for L in (200, 400):
+            p = params(t0=t0, gbar=gbar, g0=g0, L=L)
+            assert classify_point(p).label == "Generic"
+            assert derive(p).u2 * derive(p).v2 < 0.0
+            rows = [sq[:-1] for _, _, sq in _chain_bonds(p)]
+            assert all(map(certified, rows))
+            M = chain_M(np.concatenate(obc_spectrum_via_chains(p)))
+            assert abs(M - self.M_inf(p)) <= self.C / L
 
 
 class TestChainEig:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nhcreutz.sweep as sweep
-from nhcreutz.degeneracy import (GENERIC, _defective_from,
+from nhcreutz.degeneracy import (DFB_PBC, GENERIC, _defective_from,
                                  condition_defective)
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.model import _chain_bonds
@@ -214,6 +214,34 @@ class TestPhaseDiagram:
         assert rows[6] == GridRow(t0=bad.t0, gbar=bad.gbar,
                                   status="ConvergenceFailure")
         assert rows[:6] + rows[7:] == clean[:6] + clean[7:]
+
+    def test_sign_rule_off_the_loci(self):
+        # off the degeneracy loci the OBC class follows the signs of the
+        # chain products alone: Real iff u^2, v^2 > 0, Imaginary iff both
+        # are < 0, Complex otherwise (a mixed-sign chain has complex
+        # pairs); snapped grids put nodes on every locus line in range
+        seen, loci = set(), 0
+        for g0 in (0.1, 0.3, 0.5, -0.45, 0.9):
+            for snap in (False, True):
+                s = GridSpec(t0_range=(-1.5, 1.5, 27),
+                             gbar_range=(-1.5, 1.5, 27), g0=g0, L=50,
+                             snap_special=snap)
+                for r in phase_diagram(s):
+                    if r.degeneracy_label not in (GENERIC, DFB_PBC):
+                        loci += 1
+                        continue
+                    d = derive(ModelParams.from_bars(
+                        tbar=1.0, t0=r.t0, gbar=r.gbar, g0=g0, L=50))
+                    if d.u2 > 0.0 and d.v2 > 0.0:
+                        want = "Real"
+                    elif d.u2 < 0.0 and d.v2 < 0.0:
+                        want = "Imaginary"
+                    else:
+                        want = "Complex"
+                    assert r.class_obc == want, (g0, snap, r)
+                    seen.add(want)
+        assert seen == {"Real", "Imaginary", "Complex"}
+        assert loci > 0
 
     def test_degeneracy_column_on_diagonal(self):
         # diagonal t0 = gbar with g0 = tbar = 1: EFB nodes; the phase map
