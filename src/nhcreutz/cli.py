@@ -20,7 +20,7 @@ from .degeneracy import classify_point, obc_tol_abs, resolve_structure
 from .dynamics import _row_norms, initial_state, propagate
 from .errors import NhcreutzError
 from .gauge import gauge_report
-from .model import OBC, PBC, ModelParams, build_realspace
+from .model import OBC, PBC, ModelParams, build_realspace, derive
 from .spectral import classify, ladder_spectrum
 from .sweep import GridSpec, dipr_map, grid_axes, mipr_map, phase_diagram
 
@@ -416,8 +416,9 @@ def cmd_classify(ns, sp):
     report = resolve_structure(params, classify_point(params))
     gr = gauge_report(params)
     eigs = ladder_spectrum(params)
-    tol = obc_tol_abs(params, report.label, eigs) if ns.boundary == OBC \
-        else 1e-9 * float(np.abs(eigs).max())
+    d = derive(params)
+    tol = obc_tol_abs(report.label, d.u2, d.v2, eigs) \
+        if ns.boundary == OBC else 1e-9 * float(np.abs(eigs).max())
     cls = classify(eigs, tol_abs=tol)
     print(json.dumps({"config": _config_dict(ns, sp),
                       "degeneracy": report.to_dict(), "gauge": gr.to_dict(),

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditioned, WrongClass
-from .model import OBC, build_realspace, derive, require_balanced
+from .model import OBC, build_realspace, derive, dressed, require_balanced
 from .spectral import _obc_chain_eigs, eig, obc_spectrum_via_chains
 
 GENERIC = "Generic"
@@ -50,52 +50,76 @@ class DegeneracyReport:
         }
 
 
+def _locus_tests(tbar, t0, gbar, g0, ts, ts2):
+    """The locus conditions of classify_point as ((label, condition), ...)
+    in its precedence order, and the u = 0 condition, from the linear
+    factors g +- f, gp +- fp (model.dressed) with absolute tolerance ts
+    (ts2 for the product test), elementwise: Python floats give bools,
+    and broadcasting arrays boolean arrays of the same bits."""
+    g, gp, f, fp, _, _ = dressed(tbar, t0, gbar, g0)
+    u_zero = (abs(g - f) <= ts) | (abs(g + f) <= ts)
+    v_zero = (abs(gp - fp) <= ts) | (abs(gp + fp) <= ts)
+    efb = (((abs(tbar - g0) <= ts) & (abs(t0 - gbar) <= ts))
+           | ((abs(tbar + g0) <= ts) & (abs(t0 + gbar) <= ts)))
+    eta_unit = (abs(t0 - tbar) <= ts) | (abs(t0 + tbar) <= ts)
+    dp = (((abs(gp) <= ts) & (abs(fp) <= ts))
+          | ((abs(g) <= ts) & (abs(f) <= ts)))
+    fine_tuned = abs(t0 * g0 - tbar * gbar) <= ts2
+    return ((EFB_INTERSECTION, efb & eta_unit), (EFB_LINE, efb),
+            (TRIPLE_POINT, u_zero & v_zero), (DIABOLICAL_FLAT_BAND, dp),
+            (EL_U, u_zero), (EL_V, v_zero),
+            (DFB_PBC, eta_unit & fine_tuned)), u_zero
+
+
+def locus_labels(tbar, t0, gbar, g0, tol=1e-12):
+    """classify_point's labels on broadcasting arrays of leg means (tbar,
+    gbar, as DerivedParams holds them) and rung parameters (t0, g0): a
+    string array of the broadcast shape."""
+    scale = np.maximum(np.maximum(abs(tbar), abs(gbar)),
+                       np.maximum(abs(t0), abs(g0)))
+    tests, _ = _locus_tests(tbar, t0, gbar, g0, tol * scale,
+                            tol * scale * scale)
+    return np.select([hit for _, hit in tests],
+                     [label for label, _ in tests], GENERIC)
+
+
 def classify_point(params, tol=1e-12):
     """Label a balanced parameter point by its degeneracy type.
 
     Precedence: EFBIntersection > EFBLine > TriplePoint > DiabolicalFlatBand
     > ELu/ELv > DFB_PBC > Generic. The conditions are evaluated on the
-    linear factors g +- f, gp +- fp with relative tolerance tol.
+    linear factors g +- f, gp +- fp with relative tolerance tol; this is
+    the scalar case of locus_labels. lam is 0 on the flat-band and triple
+    loci, the bond u or v that does not vanish on ELu, ELv and the
+    diabolical flat band, and 2 sqrt(tbar^2 - g0^2) on DFB_PBC.
     """
     require_balanced(params)
     d = derive(params)
     scale = max(abs(d.tbar), abs(d.gbar), abs(params.t0), abs(params.g0))
-    ts = tol * scale
-    u_zero = abs(d.g - d.f) <= ts or abs(d.g + d.f) <= ts
-    v_zero = abs(d.gp - d.fp) <= ts or abs(d.gp + d.fp) <= ts
-    efb = ((abs(d.tbar - params.g0) <= ts and abs(params.t0 - d.gbar) <= ts)
-           or (abs(d.tbar + params.g0) <= ts and abs(params.t0 + d.gbar) <= ts))
-    eta_unit = abs(params.t0 - d.tbar) <= ts or abs(params.t0 + d.tbar) <= ts
-    if efb and eta_unit:
-        return DegeneracyReport(EFB_INTERSECTION, 0j)
-    if efb:
-        return DegeneracyReport(EFB_LINE, 0j)
-    if u_zero and v_zero:
-        return DegeneracyReport(TRIPLE_POINT, 0j)
-    dp = ((abs(d.gp) <= ts and abs(d.fp) <= ts)
-          or (abs(d.g) <= ts and abs(d.f) <= ts))
-    if dp:
-        return DegeneracyReport(DIABOLICAL_FLAT_BAND, d.v if u_zero else d.u)
-    if u_zero:
-        return DegeneracyReport(EL_U, d.v)
-    if v_zero:
-        return DegeneracyReport(EL_V, d.u)
-    fine_tuned = abs(params.t0 * params.g0 - d.tbar * d.gbar) <= tol * scale * scale
-    if eta_unit and fine_tuned:
-        lam = 2.0 * cmath.sqrt(complex(d.tbar * d.tbar - params.g0 * params.g0))
-        return DegeneracyReport(DFB_PBC, lam)
-    return DegeneracyReport(GENERIC, None)
+    tests, u_zero = _locus_tests(d.tbar, params.t0, d.gbar, params.g0,
+                                 tol * scale, tol * scale * scale)
+    for label, hit in tests:
+        if hit:
+            break
+    else:
+        return DegeneracyReport(GENERIC, None)
+    if label == DFB_PBC:
+        return DegeneracyReport(DFB_PBC, 2.0 * cmath.sqrt(
+            complex(d.tbar * d.tbar - params.g0 * params.g0)))
+    if label in (EL_U, EL_V, DIABOLICAL_FLAT_BAND):
+        return DegeneracyReport(label, d.v if u_zero else d.u)
+    return DegeneracyReport(label, 0j)
 
 
-def obc_tol_abs(params, label, eigs):
-    """tol_abs of spectral.classify for the OBC chain spectrum eigs at a
-    node labelled label: 1e-9 max|E|, or 0 off the uv = 0 loci where
-    u^2 v^2 > 0, as the bidiagonal SVD gives small eigenvalues there to
-    high relative accuracy and none is an exact zero."""
-    d = derive(params)
-    if label in (GENERIC, DFB_PBC) and d.u2 * d.v2 > 0.0:
-        return 0.0
-    return 1e-9 * float(np.abs(eigs).max())
+def obc_tol_abs(label, u2, v2, eigs):
+    """tol_abs of spectral.classify for OBC chain spectra eigs (last axis)
+    at nodes labelled label with bond products u2, v2, elementwise:
+    1e-9 max|E|, or 0 off the uv = 0 loci where u^2 v^2 > 0, as the
+    bidiagonal SVD gives small eigenvalues there to high relative accuracy
+    and none is an exact zero."""
+    generic = (label == GENERIC) | (label == DFB_PBC)
+    return np.where(generic & (u2 * v2 > 0.0), 0.0,
+                    1e-9 * np.abs(eigs).max(axis=-1))
 
 
 def jordan_structure(H, lam, tol_rank=None):

@@ -9,6 +9,7 @@ rungs/diagonal links carry t0 and gamma0. Sites are ordered interleaved:
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class ModelParams:
         return self.t1 == self.t2 and self.g1 == self.g2
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Dressed parameters derived from ModelParams.
 
     tbar, gbar are leg means, dt, dg the half differences; g = tbar + t0,
@@ -80,18 +80,24 @@ class DerivedParams:
     eta: float
 
 
+def dressed(tbar, t0, gbar, g0):
+    """(g, gp, f, fp, u2, v2) of DerivedParams from the leg means and the
+    rung parameters, elementwise: Python floats and broadcasting arrays
+    alike, bit for bit."""
+    g = tbar + t0
+    gp = tbar - t0
+    f = gbar + g0
+    fp = gbar - g0
+    return g, gp, f, fp, g * g - f * f, gp * gp - fp * fp
+
+
 def derive(params):
     """Compute DerivedParams from raw hoppings."""
     tbar = (params.t1 + params.t2) / 2.0
     gbar = (params.g1 + params.g2) / 2.0
     dt = (params.t1 - params.t2) / 2.0
     dg = (params.g1 - params.g2) / 2.0
-    g = tbar + params.t0
-    gp = tbar - params.t0
-    f = gbar + params.g0
-    fp = gbar - params.g0
-    u2 = g * g - f * f
-    v2 = gp * gp - fp * fp
+    g, gp, f, fp, u2, v2 = dressed(tbar, params.t0, gbar, params.g0)
     eta = params.t0 / tbar if tbar != 0.0 else math.nan
     return DerivedParams(tbar=tbar, gbar=gbar, dt=dt, dg=dg,
                          g=g, gp=gp, f=f, fp=fp, u2=u2, v2=v2,
@@ -166,26 +172,30 @@ def _require_chains(params):
         raise ValueError("chain decomposition needs even L")
 
 
+def _chain_pair(first, second, n):
+    """(..., 2, n) bonds of the two NH-SSH chains from per-node values of
+    the primed bond (first) and the unprimed bond (second), scalars or
+    arrays of one shape: chain one alternates first, second, ..., chain
+    two second, first, ...."""
+    first, second = np.asarray(first), np.asarray(second)
+    out = np.empty(first.shape + (2, n), dtype=np.result_type(first, second))
+    out[..., 0, 0::2] = out[..., 1, 1::2] = first[..., None]
+    out[..., 0, 1::2] = out[..., 1, 0::2] = second[..., None]
+    return out
+
+
 def _chain_bonds(params):
     """Bonds of the two NH-SSH chains: per chain (up, lo, sq), the
     superdiagonal -i(f+g), subdiagonal -i(f-g) and product u^2 or v^2 of
     each of its L bonds, the closing bond (L -> 1) last. Chain one starts
-    on the primed bond, chain two on the unprimed. Requires balanced legs
-    and even L.
+    on the primed bond, chain two on the unprimed (_chain_pair). Requires
+    balanced legs and even L.
     """
     _require_chains(params)
     d = derive(params)
-    primed = (-1j * (d.fp + d.gp), -1j * (d.fp - d.gp), d.v2)
-    plain = (-1j * (d.f + d.g), -1j * (d.f - d.g), d.u2)
-    out = []
-    for a, b in ((primed, plain), (plain, primed)):
-        up, lo = np.empty((2, params.L), dtype=complex)
-        sq = np.empty(params.L)
-        for bond, first, second in zip((up, lo, sq), a, b):
-            bond[0::2] = first
-            bond[1::2] = second
-        out.append((up, lo, sq))
-    return tuple(out)
+    up = _chain_pair(-1j * (d.fp + d.gp), -1j * (d.f + d.g), params.L)
+    lo = _chain_pair(-1j * (d.fp - d.gp), -1j * (d.f - d.g), params.L)
+    return tuple(zip(up, lo, _chain_pair(d.v2, d.u2, params.L)))
 
 
 def _envelope(steps):

@@ -8,9 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, EmptySpectrum, Overflow, SingularGauge
-from .model import (OBC, PBC, ModelParams, _chain_bonds, _envelope,
-                    build_realspace, derive, nhssh_permutation,
-                    require_balanced, w_basis)
+from .model import (OBC, PBC, _chain_bonds, _envelope, build_realspace,
+                    derive, nhssh_permutation, require_balanced, w_basis)
 
 REAL = "Real"
 IMAGINARY = "Imaginary"
@@ -39,31 +38,29 @@ class SpectralClass:
     M: float
 
 
-def pbc_dispersion(params, k):
-    """Closed-form PBC band pair (E_plus, E_minus) at momentum k.
-
-    Accepts a scalar or an array of momenta, and one ModelParams or a
-    sequence of them; a sequence adds a leading node axis to the output.
-    """
+def pbc_bands(t0, g0, tbar, gbar, dt, dg, k):
+    """The PBC band pair (E_plus, E_minus) from parameter columns: leg
+    means and half differences as DerivedParams holds them, rung
+    parameters as ModelParams does. Elementwise over broadcasting columns
+    and momenta k."""
     ka = np.asarray(k, dtype=float)
-    if isinstance(params, ModelParams):
-        d = derive(params)
-        t0, g0, tbar, gbar, dt, dg = (params.t0, params.g0, d.tbar, d.gbar,
-                                      d.dt, d.dg)
-    else:
-        cols = [(p.t0, p.g0, d.tbar, d.gbar, d.dt, d.dg)
-                for p, d in ((p, derive(p)) for p in params)]
-        t0, g0, tbar, gbar, dt, dg = \
-            np.array(cols).T.reshape((6, -1) + (1,) * ka.ndim)
     sk, ck = np.sin(ka), np.cos(ka)
     shift = 2.0 * (dt * sk - 1j * dg * ck)
     rad = ((t0 * t0 - gbar * gbar) * ck * ck
            + (tbar * tbar - g0 * g0) * sk * sk
            + 1j * (t0 * g0 - tbar * gbar) * np.sin(2.0 * ka)).astype(complex)
     root = 2.0 * np.sqrt(rad)
-    if np.ndim(root) == 0:
-        return complex(shift + root), complex(shift - root)
     return shift + root, shift - root
+
+
+def pbc_dispersion(params, k):
+    """Closed-form PBC band pair (E_plus, E_minus) at momentum k (scalar
+    or array) for one ModelParams, by pbc_bands."""
+    d = derive(params)
+    ep, em = pbc_bands(params.t0, params.g0, d.tbar, d.gbar, d.dt, d.dg, k)
+    if np.ndim(ep) == 0:
+        return complex(ep), complex(em)
+    return ep, em
 
 
 def obc_bulk_dispersion(params, q):
@@ -263,10 +260,14 @@ def _ssh_squares(a, b, n):
             q = z + r
             z = z - (zn * z * q - 1.0 - r * z) \
                 / ((2 * n + 1) * zn * q + zn * z - r)
-        # sqrt(a) + sqrt(b) z, exactly z^(2n+1) (sqrt(a) z + sqrt(b)) at a root
+        # sqrt(a) + sqrt(b) z, exactly z^(2n+1) (sqrt(a) z + sqrt(b)) at a root;
+        # np.multiply fixes the operand order, which numpy's temporary
+        # elision swaps from 256 KiB on, and a swapped complex product
+        # rounds its imaginary part differently
         w = np.where(np.abs(1.0 + r * z) < 0.5,
-                     _power(z, 2 * n + 1) * (sa * z + sb), sa + sb * z)
-        lam = w * (sa + sb / z)
+                     np.multiply(_power(z, 2 * n + 1), sa * z + sb),
+                     sa + sb * z)
+        lam = np.multiply(w, sa + sb / z)
         top = np.abs(lam).max(axis=-1)
         tol = 1e-12 * n * top
         ok = (np.isfinite(top)
@@ -292,8 +293,11 @@ def _tridiag_spectrum_from_squares(sq):
     - fallback: the other rows, and those that fail the certificate,
       take one real eigvals call on the stack of their halves
       (_split_halves), E0 rotated by -i when split on iT.
-    Each row takes its route alone, so a stacked call returns each row
-    bit for bit as a call on that row alone.
+    Each row takes its route alone, and _ssh_squares fixes the operand
+    order of its complex products, so a stacked call of any size returns
+    each row bit for bit as a call on that row alone: phase_diagram
+    passes a (B, n, 2, L-1) block of grid rows, obc_spectrum_via_chains
+    the (2, L-1) pair of one point.
     """
     sq = np.asarray(sq, dtype=float)
     rows = sq.reshape(-1, sq.shape[-1])

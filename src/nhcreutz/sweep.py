@@ -8,14 +8,19 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .degeneracy import (GENERIC, classify_point, closed_form_blocks,
-                         obc_tol_abs, resolve_structure)
+                         locus_labels, obc_tol_abs, resolve_structure)
 from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
 from .localization import _mean_dipr_chains
-from .model import (OBC, PBC, ModelParams, _chain_bonds, build_nhssh,
-                    nhssh_permutation, w_basis)
+from .model import (OBC, PBC, ModelParams, _chain_pair, build_nhssh,
+                    dressed, nhssh_permutation, w_basis)
 from .spectral import (_obc_chain_eigs, _tridiag_spectrum_from_squares,
-                       classify, ladder_spectrum, pbc_dispersion)
+                       classify, ladder_spectrum, pbc_bands)
+
+# whole grid rows per stacked chain solve in phase_diagram, up to this
+# many chain products: bounded memory at large L, and past about 128
+# nodes per call a larger stack solves no faster
+BLOCK_PRODUCTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -101,55 +106,62 @@ def phase_diagram(spec):
     chain pair. M counts |E| <= 1e-9 max|E| as real, except on OBC
     same-sign nodes (obc_tol_abs).
 
-    One grid row (fixed gbar) at a time: the dispersion, M and the class
-    labels are computed for the whole row at once. The chain products and
-    the degeneracy label are taken node by node, and the row's (n, 2, L-1)
-    stack of products goes to one _tridiag_spectrum_from_squares call: one
-    svd per sign for the same-sign chains, the certified SSH roots for the
-    mixed-sign ones, and one eigvals call on the halves of the few that
-    fail the certificate. If that call raises, the row is solved node by
-    node with the same function, so a failure stays at its node.
+    A block of whole grid rows (fixed gbar) at a time, up to about
+    BLOCK_PRODUCTS chain products and at least one row, all on arrays:
+    model.dressed gives the bond products u^2, v^2 of every node,
+    locus_labels their degeneracy labels, pbc_bands the dispersion, and
+    obc_tol_abs and classify label both spectra of the whole block. No
+    ModelParams is built. The (B, n, 2, L-1) stack of chain products goes
+    to one _tridiag_spectrum_from_squares call: one svd per sign for the
+    same-sign chains, the certified SSH roots for the mixed-sign ones,
+    and one eigvals call on the halves of the few that fail the
+    certificate. If that call raises, the block is solved node by node
+    with the same function, so a failure stays at its node. Odd L has no
+    chain split: every row's status is ValueError.
     """
+    # a bad L raises here, as it did at the first node's ModelParams
+    L = ModelParams.from_bars(tbar=spec.tbar, g0=spec.g0, L=spec.L).L
     t0_vals, gbar_vals = grid_axes(spec)
-    k = 2.0 * np.pi * np.arange(spec.L) / spec.L
+    if L % 2:
+        return [GridRow(t0=t0, gbar=gbar, status="ValueError")
+                for gbar in gbar_vals for t0 in t0_vals]
+    k = 2.0 * np.pi * np.arange(L) / L
+    tbar, g0 = spec.tbar, spec.g0
+    per_block = max(1, BLOCK_PRODUCTS // (2 * (L - 1) * len(t0_vals)))
     out = []
-    for gbar in gbar_vals:
-        nodes = [_node_params(spec, t0, gbar, PBC) for t0 in t0_vals]
-        ep, em = pbc_dispersion(nodes, k)
+    for start in range(0, len(gbar_vals), per_block):
+        block = gbar_vals[start:start + per_block]
+        col = block[:, None]  # gbar
+        ep, em = pbc_bands(t0_vals[:, None], g0, tbar, col[..., None],
+                           0.0, 0.0, k)  # balanced legs: dt = dg = 0
         pbc_eigs = np.concatenate([ep, em], axis=-1)
         cls_pbc = classify(pbc_eigs,
                            tol_abs=1e-9 * np.abs(pbc_eigs).max(axis=-1))
-        sq = np.zeros((len(nodes), 2, spec.L - 1))
-        labels, failed = [], {}
-        for i, params in enumerate(nodes):
-            try:
-                sq[i] = [b[:-1] for _, _, b in _chain_bonds(params)]
-                labels.append(classify_point(params).label)
-            except Exception as exc:  # row-level marker, never abort the grid
-                failed[i] = type(exc).__name__
-                labels.append(None)
+        _, _, _, _, u2, v2 = dressed(tbar, t0_vals, col, g0)
+        labels = locus_labels(tbar, t0_vals, col, g0)
+        sq = _chain_pair(v2, u2, L - 1)
+        failed = {}
         try:
             obc_eigs = _tridiag_spectrum_from_squares(sq)
         except Exception:  # node by node, so the failure stays at its node
-            obc_eigs = np.zeros((len(nodes), 2, spec.L), dtype=complex)
-            for i in set(range(len(nodes))) - failed.keys():
+            obc_eigs = np.zeros(u2.shape + (2, L), dtype=complex)
+            for node in np.ndindex(u2.shape):
                 try:
-                    obc_eigs[i] = _tridiag_spectrum_from_squares(sq[i])
-                except Exception as exc:
-                    failed[i] = type(exc).__name__
-        obc_eigs = obc_eigs.reshape(len(nodes), 2 * spec.L)
-        obc_tol = np.array([0.0 if i in failed else
-                            obc_tol_abs(params, labels[i], obc_eigs[i])
-                            for i, params in enumerate(nodes)])
-        cls_obc = classify(obc_eigs, tol_abs=obc_tol)
-        for i, t0 in enumerate(t0_vals):
-            if i in failed:
-                out.append(GridRow(t0=t0, gbar=gbar, status=failed[i]))
-                continue
-            out.append(GridRow(t0=t0, gbar=gbar, M_pbc=float(cls_pbc.M[i]),
-                               M_obc=float(cls_obc.M[i]),
-                               class_obc=str(cls_obc.label[i]),
-                               degeneracy_label=labels[i]))
+                    obc_eigs[node] = _tridiag_spectrum_from_squares(sq[node])
+                except Exception as exc:  # row-level marker
+                    failed[node] = type(exc).__name__
+        obc_eigs = obc_eigs.reshape(u2.shape + (2 * L,))
+        cls_obc = classify(obc_eigs,
+                           tol_abs=obc_tol_abs(labels, u2, v2, obc_eigs))
+        fields = zip(cls_pbc.M.tolist(), cls_obc.M.tolist(),
+                     cls_obc.label.tolist(), labels.tolist())
+        for b, (gbar, row) in enumerate(zip(block, fields)):
+            for i, (t0, m_pbc, m_obc, cls, label) in enumerate(
+                    zip(t0_vals, *row)):
+                out.append(GridRow(t0=t0, gbar=gbar, status=failed[b, i])
+                           if (b, i) in failed else
+                           GridRow(t0=t0, gbar=gbar, M_pbc=m_pbc, M_obc=m_obc,
+                                   class_obc=cls, degeneracy_label=label))
     return out
 
 
@@ -176,7 +188,9 @@ def dipr_map(spec):
     with no ladder Hamiltonian or ladder vectors; on the loci it is None,
     and the status names the locus. Node by node: a failure, such as a
     balancing envelope past the float range (Overflow), stays at its node
-    and its name is the row's status."""
+    and its name is the row's status. Labels come from scalar
+    classify_point, not locus_labels, since closed_form_blocks and
+    resolve_structure need the whole report, lam included."""
     t0_vals, gbar_vals = grid_axes(spec)
     out = []
     for gbar in gbar_vals:
@@ -206,10 +220,11 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
     exp(-i dt H) is the two chain exponentials. Odd L and unbalanced legs
     have no chains, and their nodes get the error of build_nhssh.
 
-    One grid row (fixed gbar) at a time: each node's real (2, L, L) stack
-    of chain propagators (chain entries are imaginary) is built on its
-    own, then the row's real states advance together, one stacked product
-    per step, and the support and the final mIPR are computed on the fly
+    One grid row (fixed gbar) at a time: the row's degeneracy labels come
+    from one locus_labels call, each node's real (2, L, L) stack of chain
+    propagators (chain entries are imaginary) is built on its own, then
+    the row's real states advance together, one stacked product per step,
+    and the support and the final mIPR are computed on the fly
     (_final_mipr_and_support). A failure stays at its node.
     """
     times = _time_grid(t_max, n_steps)
@@ -219,6 +234,7 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
     wpsi = (W @ initial_state(L)).real  # leg a: both w amplitudes 1/sqrt 2
     out = []
     for gbar in gbar_vals:
+        row_labels = locus_labels(spec.tbar, t0_vals, gbar, spec.g0).tolist()
         U = np.empty((len(t0_vals), 2, L, L))
         built, status, rows = [], {}, {}
         for i, t0 in enumerate(t0_vals):
@@ -227,7 +243,7 @@ def mipr_map(spec, t_max=20.0, n_steps=200):
                 chains = np.stack(build_nhssh(params))
                 _require_finite(chains)
                 U[len(built)] = _step_propagator(chains.imag, times)
-                built.append((i, classify_point(params).label))
+                built.append((i, row_labels[i]))
             except Exception as exc:  # row-level marker, never abort the grid
                 status[i] = type(exc).__name__
         if built:

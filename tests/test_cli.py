@@ -654,14 +654,29 @@ class TestColumnarWriter:
                                                sweep_fn, fields, columns,
                                                fmt):
         grids = recording(monkeypatch, sweep_fn)
-        classify_point = sweep.classify_point
+        # one node of the tile fails: in phase through the chain solve (the
+        # stacked call that holds the node's products, then its own call),
+        # in mipr through its chains, in dipr through classify_point
+        if command == "phase":
+            bad = ModelParams.from_bars(t0=0.5, gbar=-0.5, g0=0.5, L=10)
+            bad_sq = np.array([sq[:-1] for _, _, sq in _chain_bonds(bad)])
+            name = "_tridiag_spectrum_from_squares"
 
-        def failing(params):  # one node of the tile fails
-            if (params.t0, params.g1) == (0.5, -0.5):
+            def fails(sq):
+                return (sq == bad_sq).all(axis=(-2, -1)).any()
+        else:
+            name = "build_nhssh" if command == "mipr" else "classify_point"
+
+            def fails(params):
+                return (params.t0, params.g1) == (0.5, -0.5)
+        real = getattr(sweep, name)
+
+        def failing(arg):
+            if fails(arg):
                 raise ConvergenceFailure("injected")
-            return classify_point(params)
+            return real(arg)
 
-        monkeypatch.setattr(sweep, "classify_point", failing)
+        monkeypatch.setattr(sweep, name, failing)
         argv = [command, "--g0", "0.5", "--grid", "4x4", "--range",
                 "-1:1", "--L", "10", "--snap-special", "--format", fmt,
                 "-o", f"tile.{fmt}"]

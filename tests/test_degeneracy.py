@@ -28,8 +28,11 @@ from nhcreutz import (
     obc_eig_via_chains,
 )
 from nhcreutz.cli import main
-from nhcreutz.degeneracy import (DFB_PBC, _defective_from,
-                                 closed_form_blocks, resolve_structure)
+from nhcreutz.degeneracy import (DFB_PBC, GENERIC, _defective_from,
+                                 closed_form_blocks, locus_labels,
+                                 obc_tol_abs, resolve_structure)
+from nhcreutz.model import _chain_pair, derive, dressed
+from nhcreutz.spectral import _tridiag_spectrum_from_squares
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, L=8, **kw):
@@ -142,6 +145,99 @@ class TestClassifyPoint:
     def test_imbalance_rejected(self):
         with pytest.raises(ImbalancedParameters):
             classify_point(params(dt=0.1))
+
+
+def near_loci(rng, tbar):
+    """(t0, gbar, g0) points on each locus line of classify_point at leg
+    mean tbar, then moved off it by 1-3 ulp and by 0.5, 0.99, 1.01 and 2
+    times the 1e-12 relative tolerance, in t0, gbar or g0."""
+    base = []
+    for _ in range(3):
+        t0, gbar, g0 = rng.uniform(-1.5, 1.5, 3)
+        for s in (1.0, -1.0):
+            base += [(t0, s * (tbar + t0) - g0, g0),  # ELu: g = s f
+                     (t0, s * (tbar - t0) + g0, g0),  # ELv: gp = s fp
+                     (s * g0, s * tbar, g0),  # triple point
+                     (s * tbar, s * g0, g0),  # diabolical flat band
+                     (s * gbar, gbar, s * tbar),  # EFB line
+                     (s * tbar, tbar, s * tbar),  # EFB intersection
+                     (s * tbar, gbar, g0)]  # eta = +-1
+    out = []
+    for point in base:
+        scale = max(abs(tbar), *map(abs, point))
+        out.append(point)
+        for axis in range(3):
+            for step in (-3, -1, 1, 3):
+                moved = list(point)
+                for _ in range(abs(step)):
+                    moved[axis] = np.nextafter(moved[axis], step * np.inf)
+                out.append(tuple(moved))
+            for factor in (-2.0, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2.0):
+                moved = list(point)
+                moved[axis] += factor * 1e-12 * scale
+                out.append(tuple(moved))
+    return [tuple(map(float, p)) for p in out]
+
+
+def loop_obc_tol_abs(label, u2, v2, eigs):
+    """The OBC tolerance rule node by node, as it was written per node."""
+    if label in (GENERIC, DFB_PBC) and u2 * v2 > 0.0:
+        return 0.0
+    return 1e-9 * float(np.abs(eigs).max())
+
+
+class TestLocusLabels:
+    @staticmethod
+    def check(tbar, t0, gbar, g0, L=8):
+        """locus_labels and obc_tol_abs on arrays against classify_point
+        and the per-node tolerance rule at every (t0, gbar, g0) node;
+        returns the labels."""
+        labels = locus_labels(tbar, t0, gbar, g0)
+        _, _, _, _, u2, v2 = dressed(tbar, t0, gbar, g0)
+        t0, gbar, g0, u2, v2 = np.broadcast_arrays(t0, gbar, g0, u2, v2)
+        assert labels.shape == t0.shape
+        sq = _chain_pair(v2, u2, L - 1)
+        eigs = _tridiag_spectrum_from_squares(sq).reshape(t0.shape + (-1,))
+        tol = obc_tol_abs(labels, u2, v2, eigs)
+        for node in np.ndindex(t0.shape):
+            p = params(tbar=tbar, t0=t0[node], gbar=gbar[node],
+                       g0=g0[node], L=L)
+            label = classify_point(p).label
+            assert labels[node] == label, (tbar, p)
+            d = derive(p)
+            want = loop_obc_tol_abs(label, d.u2, d.v2, eigs[node])
+            assert tol[node] == want
+            assert obc_tol_abs(label, d.u2, d.v2, eigs[node]) == want
+        return labels
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(3)
+        for tbar in (1.0, 0.7, -1.3):
+            self.check(tbar, rng.uniform(-2.0, 2.0, 9),
+                       rng.uniform(-2.0, 2.0, (6, 1)), rng.uniform(-1.5, 1.5))
+
+    @pytest.mark.parametrize("g0", [0.0, 1.0, -1.0])
+    def test_snapped_grids(self, g0):
+        # snapping puts nodes on every locus line in range, so the labels
+        # come in many kinds; tbar = 1 and g0 = +-tbar is an EFB line
+        t0, gbar = sweep.grid_axes(GridSpec(
+            t0_range=(-1.5, 1.5, 31), gbar_range=(-1.5, 1.5, 31), g0=g0,
+            snap_special=True))
+        labels = self.check(1.0, t0, gbar[:, None], g0)
+        assert len(set(labels.ravel())) >= 4
+
+    @pytest.mark.parametrize("tbar", [1.0, 0.6, 0.0])
+    def test_points_either_side_of_each_locus(self, tbar):
+        t0, gbar, g0 = np.array(near_loci(np.random.default_rng(5),
+                                          tbar)).T
+        labels = set(self.check(tbar, t0, gbar, g0).tolist())
+        # every locus and the generic bulk are met, so the tolerance
+        # edge is crossed both ways
+        want = {"Generic", "ELu", "ELv", "TriplePoint",
+                "DiabolicalFlatBand", "EFBLine", "EFBIntersection"}
+        assert want <= labels
+        if tbar == 0.0:  # t0 = tbar = 0: H anti-Hermitian
+            assert DFB_PBC in labels
 
 
 class TestJordanStructure:

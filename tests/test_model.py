@@ -19,7 +19,7 @@ from nhcreutz import (
     obc_spectrum_via_chains,
     w_basis,
 )
-from nhcreutz.model import _chain_bonds
+from nhcreutz.model import _chain_bonds, dressed
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=6,
@@ -135,6 +135,24 @@ class TestModelParams:
     def test_eta(self):
         assert derive(params(t0=0.8)).eta == pytest.approx(0.8)
         assert math.isnan(derive(params(tbar=0.0, t0=0.5)).eta)
+
+    def test_dressed_arrays_bit_identical_to_derive(self):
+        # one elementwise kernel serves derive's floats and the sweeps'
+        # broadcasting arrays: a (gbar, t0) grid per (tbar, g0) gives the
+        # bits of scalar derive at every node
+        rng = np.random.default_rng(11)
+        for tbar, g0 in [(1.0, 0.0), (1.0, 1.0), (1.0, -1.0),
+                         *rng.uniform(-2.0, 2.0, (6, 2))]:
+            t0 = rng.uniform(-2.0, 2.0, 7)
+            gbar = rng.uniform(-2.0, 2.0, 5)[:, None]
+            grid = np.broadcast_arrays(*dressed(tbar, t0, gbar, g0))
+            assert grid[-1].shape == (5, 7)
+            for j, i in np.ndindex(5, 7):
+                d = derive(params(tbar=tbar, t0=t0[i], gbar=gbar[j, 0],
+                                  g0=g0))
+                want = (d.g, d.gp, d.f, d.fp, d.u2, d.v2)
+                assert [a[j, i].tobytes() for a in grid] == \
+                    [np.float64(w).tobytes() for w in want]
 
 
 class TestRealspace:

@@ -6,7 +6,7 @@ import pytest
 
 import nhcreutz.sweep as sweep
 from nhcreutz.degeneracy import (DFB_PBC, GENERIC, _defective_from,
-                                 condition_defective)
+                                 condition_defective, obc_tol_abs)
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.model import _chain_bonds
 from nhcreutz.spectral import _obc_chain_eigs, _tridiag_residual
@@ -201,12 +201,20 @@ class TestPhaseDiagram:
             sweep._node_params(s, bad.t0, bad.gbar, OBC))])
         solve = sweep._tridiag_spectrum_from_squares
 
+        matches = []
+
         def failing(sq):
-            # the row's stacked call and the bad node's own call raise; the
-            # node (1, 1) has the same products, so the row call is matched
-            # at the bad node's column
-            if np.array_equal(sq[6 % 4] if sq.ndim == 3 else sq, bad_sq):
-                raise ConvergenceFailure("injected")
+            # the block's stacked call (all four rows) raises, matched at the
+            # bad node's place; then, node by node in grid order, the bad
+            # node's own call: node 15 has the same products, so only the
+            # first single-node match raises
+            if sq.ndim == 4:
+                if np.array_equal(sq[6 // 4, 6 % 4], bad_sq):
+                    raise ConvergenceFailure("injected")
+            elif np.array_equal(sq, bad_sq):
+                matches.append(sq)
+                if len(matches) == 1:
+                    raise ConvergenceFailure("injected")
             return solve(sq)
 
         monkeypatch.setattr(sweep, "_tridiag_spectrum_from_squares", failing)
@@ -214,6 +222,45 @@ class TestPhaseDiagram:
         assert rows[6] == GridRow(t0=bad.t0, gbar=bad.gbar,
                                   status="ConvergenceFailure")
         assert rows[:6] + rows[7:] == clean[:6] + clean[7:]
+
+    def test_odd_L_rows_all_value_error(self):
+        # odd L has no chain split: every node, in row-major order, reads
+        # ValueError and nothing else
+        s = spec(n=3, L=7)
+        t0v, gv = grid_axes(s)
+        assert phase_diagram(s) == [GridRow(t0=t0, gbar=gbar,
+                                            status="ValueError")
+                                    for gbar in gv for t0 in t0v]
+
+    def test_bad_L_raises(self):
+        for L in (0, 1):
+            with pytest.raises(ValueError):
+                phase_diagram(spec(n=2, L=L))
+
+    def test_l2_matches_direct(self):
+        # one bond per chain: every node solves, as a single-point call
+        s = spec(lo=-1.5, hi=1.5, n=7, L=2, snap_special=True)
+        for r in phase_diagram(s):
+            p = ModelParams.from_bars(tbar=1.0, t0=r.t0, gbar=r.gbar,
+                                      g0=0.5, L=2)
+            eigs = np.concatenate(obc_spectrum_via_chains(p))
+            label = classify_point(p).label
+            d = derive(p)
+            direct = classify(eigs, tol_abs=obc_tol_abs(label, d.u2, d.v2,
+                                                        eigs))
+            assert (r.status, r.degeneracy_label) == ("ok", label)
+            assert (r.class_obc, r.M_obc) == (direct.label, direct.M)
+
+    @pytest.mark.parametrize("L,n", [(10, 9), (50, 31)])
+    def test_rows_equal_whatever_the_block(self, monkeypatch, L, n):
+        # one row per block, two rows per block and one block for the
+        # whole grid give the same rows, bit for bit; at L = 50 the whole
+        # grid takes the root kernel past 256 KiB of complex values
+        s = spec(lo=-1.5, hi=1.5, n=n, L=L, g0=0.45, snap_special=True)
+        rows = phase_diagram(s)
+        for products in (1, 2 * n * 2 * (L - 1), 10 ** 9):
+            monkeypatch.setattr(sweep, "BLOCK_PRODUCTS", products)
+            assert phase_diagram(s) == rows
 
     def test_sign_rule_off_the_loci(self):
         # off the degeneracy loci the OBC class follows the signs of the
