@@ -204,6 +204,22 @@ def closed_form_blocks(report, L):
             }.get(report.label)
 
 
+def _defective_flags(Yt):
+    """condition_defective per node of a stack of balanced chain vectors,
+    the rows of Yt (..., chains, modes, sites): kappa_n = sum |y|^2 /
+    |sum y^2|, its largest value per node against KAPPA_MAX. A NaN kappa
+    raises LinAlgError."""
+    Yt = np.ascontiguousarray(Yt)
+    parts = Yt.view(float)  # real and imaginary parts side by side
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.einsum("...j,...j->...", parts, parts) \
+            / np.abs(np.einsum("...j,...j->...", Yt, Yt))
+    kappa = kappa.reshape(kappa.shape[:-2] + (-1,)).max(axis=-1)
+    if np.isnan(kappa).any():
+        raise np.linalg.LinAlgError("eigenvalue condition number is NaN")
+    return kappa > KAPPA_MAX
+
+
 def condition_defective(chains):
     """True when a chain eigenvalue's condition number
     kappa_n = ||y_n||^2 / |y_n^T y_n| exceeds KAPPA_MAX, on the balanced
@@ -211,14 +227,10 @@ def condition_defective(chains):
     balanced chain is complex symmetric, so y_n^T is the left eigenvector;
     at an exceptional point y_n is self-orthogonal (Moiseyev, Non-Hermitian
     Quantum Mechanics, 2011). Real Y (same-sign chains) gives kappa = 1. A
-    NaN kappa raises LinAlgError."""
-    Y = np.concatenate([c[1] for c in chains], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.max(np.sum(np.abs(Y) ** 2, axis=0)
-                       / np.abs(np.sum(Y * Y, axis=0)))
-    if np.isnan(kappa):
-        raise np.linalg.LinAlgError("eigenvalue condition number is NaN")
-    return bool(kappa > KAPPA_MAX)
+    NaN kappa raises LinAlgError. The one-node case of _defective_flags,
+    which dipr_map takes on a block of nodes."""
+    return bool(_defective_flags(
+        np.stack([np.swapaxes(c[1], -1, -2) for c in chains])))
 
 
 def resolve_structure(params, report, chains=None):

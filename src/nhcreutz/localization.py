@@ -58,17 +58,36 @@ def mean_dipr(spectrum_result, L):
     return float(np.mean(lipr - ripr))
 
 
-def _mean_dipr_chains(blocks):
-    """mean_dipr of the balanced OBC ladder straight from the eigenvectors
-    of its two NH-SSH chains (the columns of the two L x L blocks).
+def _dipr_means(P, total):
+    """Mean dIPR per node from chain intensities P (..., chains, modes,
+    sites) and their sums per mode total: the eigenstate average of the
+    balanced OBC ladder over all chain modes of a node.
 
     Chain site n = 0..L-1 is one w-orbital of cell L - n, and both ladder
-    sites of that cell carry half its intensity. So a chain vector with
-    p_n = |x_n|^2 / sum |x|^2 has dipr = (sum of p_n^2 over n >= L/2, the
-    cells 1..L/2, - sum over n < L/2) / 2, and the mean runs over all 2L
-    vectors. No ladder-sized matrix is formed.
+    sites of that cell carry half its intensity. So a chain mode with p_n
+    = P_n / total has dipr = (sum of p_n^2 over n >= L/2, the cells
+    1..L/2, - sum over n < L/2) / 2. P is overwritten, so no second
+    array of its size is formed. Raises ZeroState where a sum is 0 or
+    infinite: a zero vector, or one whose norm left the float range.
     """
-    rows = np.concatenate(blocks, axis=1).T
+    if not np.all((total > 0.0) & (total < np.inf)):
+        raise ZeroState("cannot normalize the zero state")
+    p = P
+    p /= total[..., None]
+    p *= p
     # halves of a chain row at L/2: sites n < L/2 are the right cells
-    right, left = _ipr_halves(rows, rows.shape[1] // 2)
-    return float(np.mean(left - right) / 2.0)
+    half = p.shape[-1] // 2
+    dip = p[..., half:].sum(axis=-1) - p[..., :half].sum(axis=-1)
+    return np.mean(dip.reshape(dip.shape[:-2] + (-1,)), axis=-1) / 2.0
+
+
+def _mean_dipr_chains(blocks):
+    """mean_dipr of the balanced OBC ladder straight from the eigenvectors
+    of its two NH-SSH chains (the columns of the two L x L blocks), by
+    _dipr_means on Re(x)^2 + Im(x)^2: for the vectors X of
+    spectral._obc_chain_eigs, bit for bit the mean that dipr_map takes
+    from the chain intensities. No ladder-sized matrix is formed.
+    """
+    Xt = np.ascontiguousarray(np.swapaxes(np.stack(blocks), -1, -2))
+    P = Xt.real * Xt.real + Xt.imag * Xt.imag
+    return float(_dipr_means(P, P.sum(axis=-1)))

@@ -193,19 +193,32 @@ def _chain_bonds(params):
     """
     _require_chains(params)
     d = derive(params)
-    up = _chain_pair(-1j * (d.fp + d.gp), -1j * (d.f + d.g), params.L)
-    lo = _chain_pair(-1j * (d.fp - d.gp), -1j * (d.f - d.g), params.L)
-    return tuple(zip(up, lo, _chain_pair(d.v2, d.u2, params.L)))
+    return tuple(zip(*_bond_stack(d.g, d.gp, d.f, d.fp, d.u2, d.v2,
+                                  params.L)))
+
+
+def _bond_stack(g, gp, f, fp, u2, v2, n):
+    """(up, lo, sq) of _chain_bonds from per-node dressed values
+    (model.dressed), scalars or arrays of one shape, each (..., 2, n):
+    one layout for a single node and for a block of grid nodes, bit for
+    bit."""
+    g, gp, f, fp = (np.asarray(x) for x in (g, gp, f, fp))
+    return (_chain_pair(-1j * (fp + gp), -1j * (f + g), n),
+            _chain_pair(-1j * (fp - gp), -1j * (f - g), n),
+            _chain_pair(v2, u2, n))
 
 
 def _envelope(steps):
     """Diagonal [1, s_1, s_1 s_2, ...] of the imaginary gauge similarity
     with per-bond ratios steps (Hatano & Nelson, PRL 77, 570 (1996)).
 
+    A stack of chains (..., n) gives a stack of diagonals (..., n + 1).
     Raises Overflow when an entry overflows or underflows to zero.
     """
+    steps = np.asarray(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.concatenate([[1.0], np.cumprod(steps)])
+        d = np.concatenate([np.ones(steps.shape[:-1] + (1,), steps.dtype),
+                            np.cumprod(steps, axis=-1)], axis=-1)
     if not (np.all(np.isfinite(d)) and np.all(d)):
         raise Overflow("balancing envelope overflows or underflows; chain "
                        "too long for this non-reciprocity")

@@ -167,8 +167,8 @@ def _split_halves(sq):
 def _golub_kahan(c, vectors=False):
     """Eigenvalues, ascending, of the zero-diagonal real symmetric
     tridiagonal T of even order with couplings c; with vectors=True also
-    its orthonormal eigenvectors as columns. Values alone are taken for a
-    (..., L-1) stack of couplings too, in one svd call.
+    its orthonormal eigenvectors as columns. A (..., L-1) stack of
+    couplings is taken in one svd call, with or without vectors.
 
     With the even sites first, T = [[0, B^T], [B, 0]] with B the upper
     bidiagonal of diagonal c[0::2] and superdiagonal c[1::2] (Golub &
@@ -195,10 +195,10 @@ def _golub_kahan(c, vectors=False):
     lam = np.concatenate([0.0 - sigma, sigma[..., ::-1]], axis=-1)
     if not vectors:
         return lam
-    Q = Qt.T
-    Y = np.empty((len(c) + 1, len(c) + 1))
-    Y[0::2] = np.hstack([Q, Q[:, ::-1]])
-    Y[1::2] = np.hstack([-P, P[:, ::-1]])
+    Q = np.swapaxes(Qt, -1, -2)
+    Y = np.empty(c.shape[:-1] + (2 * m, 2 * m))
+    Y[..., 0::2, :] = np.concatenate([Q, Q[..., ::-1]], axis=-1)
+    Y[..., 1::2, :] = np.concatenate([-P, P[..., ::-1]], axis=-1)
     return lam, Y / math.sqrt(2.0)
 
 
@@ -219,7 +219,8 @@ def _ssh_squares(a, b, n):
     """The n values lam = E^2 of each SSH chain of order L = 2n with
     off-diagonal products a, b, a, ..., a, from the roots of one scalar
     equation; a and b are (m,) arrays of opposite signs. Returns (lam,
-    ok), lam (m, n) and ok the rows that pass the certificate.
+    ok, z), lam (m, n), ok the rows that pass the certificate and z (m, n)
+    the roots, z_k = e^(i theta_k) of lam_k (_ssh_vectors).
 
     lam is an eigenvalue of the n x n block M of T^2 with diagonal (a,
     a+b, ..., a+b) and off-diagonal products ab. With r = sqrt(b)/sqrt(a)
@@ -275,7 +276,7 @@ def _ssh_squares(a, b, n):
               & (np.abs((lam * lam).sum(axis=-1) - a * a
                         - (n - 1) * ((a + b) ** 2 + 2.0 * a * b))
                  <= tol * top))
-    return lam, ok
+    return lam, ok, z
 
 
 def _tridiag_spectrum_from_squares(sq):
@@ -319,8 +320,8 @@ def _tridiag_spectrum_from_squares(sq):
         if L % 2 == 0:
             periodic = (np.all(rows[:, 0::2] == rows[:, :1], axis=-1)
                         & np.all(rows[:, 1::2] == rows[:, 1:2], axis=-1))
-            lam, ok = _ssh_squares(rows[periodic, 0], rows[periodic, 1],
-                                   L // 2)
+            lam, ok, _ = _ssh_squares(rows[periodic, 0], rows[periodic, 1],
+                                      L // 2)
             rest[np.flatnonzero(periodic)[ok]] = False
             # 0.0 + keeps the parts +0.0
             E[~rest] = 0.0 + np.sqrt(lam[ok])
@@ -394,20 +395,98 @@ def _split_eig(s, sq):
     return (-1j * lam if rotate else lam), tau[:, None] * Y
 
 
-def _balanced_tridiag_eig(up, lo, sq):
-    """Eigenpairs of the zero-diagonal tridiagonal chain with superdiagonal
-    up, subdiagonal lo and products sq, skin-effect safe.
+def _power_table(z, m):
+    """Powers z^0, ..., z^m of each entry of z, as (m + 1, ...), m >= 1, by
+    doubling: z^(j + t) = z^j z^t with z^t the top power so far, so each
+    power is about log2 m products from z."""
+    out = np.empty((m + 1,) + z.shape, dtype=complex)
+    out[0] = 1.0
+    out[1] = z
+    top = 1
+    while top < m:
+        step = min(top, m - top)
+        np.multiply(out[1:step + 1], out[top], out=out[top + 1:top + step + 1])
+        top += step
+    return out
 
-    A diagonal similarity equalizes the two entries of every bond, removing
-    the exponential envelope that makes direct diagonalization lose the
-    eigenvectors (the envelope ratio exceeds 1/eps long before L=50 at
-    strong non-reciprocity). The balanced matrix is symmetric with pure
-    real or pure imaginary couplings, so its eigenvectors are well
-    conditioned; the envelope is multiplied back afterwards. Mixed real
-    and imaginary couplings are solved by _split_eig on the products sq.
+
+def _ssh_vectors(z, E, sa, sb, tau):
+    """Unit eigenvectors of the complex symmetric SSH chains of order L =
+    2n with couplings tau_j tau_(j+1) sqrt(p_j), p = a, b, a, ..., a: z
+    (..., n) the roots of _ssh_squares, E (..., n) the eigenvalues with
+    E^2 = lam, sa and sb (..., 1) the principal sqrt(a) and sqrt(b), and
+    tau (..., L) site signs. Returns (odd, even, finite): the odd sites
+    (..., root k, n) of the vectors of E_k and of -E_k, the even sites of
+    E_k's (those of -E_k are their negatives), and which chains have
+    every entry finite.
+
+    In the principal gauge, odd sites x_j = y_(2j-1) and even sites y_(2j)
+    of T y = E y obey x_j ~ sin((n+1-j) theta), theta = -i log z: the rows
+    2..n of T^2 force it with x_(n+1) = 0, and row 1 is the root
+    equation. Row 1 of T y = E y then gives y_(2j) = c sin(j theta), c =
+    E sin(n theta) / (sqrt(a) sin theta), and -E has the same odd sites
+    and the negated even ones. zeta = z or 1/z is the same root with
+    |zeta| <= 1, and 2i zeta^n sin(m theta) = zeta^(n+m) - zeta^(n-m) =
+    s_m is bounded, so the vector is taken as x_j = s_(n+1-j), y_(2j) =
+    c s_j. At a root, lam = zeta^(2n) (sqrt(a) zeta + sqrt(b))^2, so E
+    zeta^-n = +-(sqrt(a) zeta + sqrt(b)) and c = +-zeta (sqrt(a) zeta +
+    sqrt(b)) (1 - zeta^(2n)) / (sqrt(a) (1 - zeta^2)), the sign that of
+    E against zeta^n (sqrt(a) zeta + sqrt(b)): c stays right at an edge
+    pair whose E underflows, where the odd and even sites still share the
+    mode evenly. Its norm is (1 + |c|^2) sum |s_m|^2, as the even sites
+    repeat the odd ones reversed.
+    """
+    n = z.shape[-1]
+    with np.errstate(all="ignore"):
+        zeta = np.where(np.abs(z) > 1.0, 1.0 / z, z)
+        pw = _power_table(zeta, 2 * n)
+        # np.multiply keeps complex operand orders fixed (see _ssh_squares)
+        w = np.multiply(sa, zeta) + sb
+        ref = np.multiply(pw[n], w)
+        sign = np.where(E.real * ref.real + E.imag * ref.imag < 0.0,
+                        -1.0, 1.0)
+        c = sign * (np.multiply(np.multiply(zeta, w), 1.0 - pw[2 * n])
+                    / np.multiply(sa, 1.0 - np.multiply(zeta, zeta)))
+        # s_m, m = 1..n, as (..., root, m)
+        sm = np.moveaxis(pw[n + 1:] - pw[n - 1::-1], 0, -1)
+        del pw
+        inv = 1.0 / np.sqrt((1.0 + c.real * c.real + c.imag * c.imag)
+                            * (sm.real * sm.real
+                               + sm.imag * sm.imag).sum(axis=-1))
+        odd = sm[..., ::-1] * (inv[..., None] * tau[..., None, 0::2])
+        sm *= tau[..., None, 1::2]
+        even = np.multiply(np.multiply(c, inv)[..., None], sm)
+        # |zeta| <= 1 bounds s_m, so finite c and a nonzero finite inv
+        # leave every entry finite
+        finite = np.isfinite(c) & np.isfinite(inv) & (inv > 0.0)
+    return odd, even, finite.all(axis=-1)
+
+
+def _chain_eigenpairs(up, lo, sq):
+    """Eigenpairs of a (..., L-1) stack of zero-diagonal tridiagonal chains
+    with superdiagonals up, subdiagonals lo and products sq, skin-effect
+    safe: (lam (..., L), Yt (..., L, L), d (..., L)), the rows of Yt the
+    unit eigenvectors of the balanced chains and d the envelope.
+
+    A diagonal similarity diag(d) equalizes the two entries of every bond,
+    removing the exponential envelope that makes direct diagonalization
+    lose the eigenvectors (the envelope ratio exceeds 1/eps long before
+    L=50 at strong non-reciprocity). The balanced chain is complex
+    symmetric with couplings s, each real or imaginary, so its
+    eigenvectors are well conditioned, and those of the chain itself are
+    the columns of diag(d) Y. Each chain takes one of three routes, alone,
+    so a stacked call returns each chain bit for bit as a call on that
+    chain:
+    - couplings all real or all imaginary (same-sign products): one
+      _golub_kahan svd with vectors per sign for the whole stack;
+    - mixed, with 2-periodic products (every chain of the ladder): the
+      certified roots of _ssh_squares and their closed-form vectors
+      (_ssh_vectors);
+    - other mixed chains, those the certificate refuses and those whose
+      closed form is not finite: _split_eig, one chain at a time.
     Every bond must be bidirectional, which fails exactly on the
-    exceptional loci. Returns (lam, Y, X), Y the balanced vectors and X
-    the unit columns of diag(d) Y.
+    exceptional loci (SingularGauge); an envelope past the float range
+    raises Overflow.
     """
     if np.any(up == 0.0) or np.any(lo == 0.0):
         raise SingularGauge("chain has a one-directional bond; no balancing "
@@ -415,21 +494,89 @@ def _balanced_tridiag_eig(up, lo, sq):
     # chain entries are pure imaginary, so lo/up is exactly real and the
     # cumulative envelope stays exactly real or imaginary per site
     d = _envelope(np.sqrt(lo / up))
-    s = up * d[1:] / d[:-1]
-    if np.all(s.imag == 0.0):
-        lam, Y = _golub_kahan(s.real, vectors=True)
-        lam = lam.astype(complex)
-    elif np.all(s.real == 0.0):
-        lam, Y = _golub_kahan(s.imag, vectors=True)
-        lam = 0.0 + 1j * lam
-    else:
-        lam, Y = _split_eig(s, sq)
-    X = d[:, None] * Y
-    X = X / np.linalg.norm(X, axis=0)
-    if not np.all(np.isfinite(X)):
+    s = up * d[..., 1:] / d[..., :-1]
+    shape, L = s.shape[:-1], s.shape[-1] + 1
+    s = s.reshape(-1, L - 1)
+    sq = np.asarray(sq, dtype=float).reshape(-1, L - 1)
+    lam = np.empty((len(s), L), dtype=complex)
+    Yt = np.empty((len(s), L, L), dtype=complex)
+    real = np.all(s.imag == 0.0, axis=-1)
+    imag = np.all(s.real == 0.0, axis=-1) & ~real
+    if real.any():
+        e, Y = _golub_kahan(s[real].real, vectors=True)
+        lam[real], Yt[real] = e, np.swapaxes(Y, -1, -2)
+    if imag.any():
+        e, Y = _golub_kahan(s[imag].imag, vectors=True)
+        lam[imag], Yt[imag] = 0.0 + 1j * e, np.swapaxes(Y, -1, -2)
+    rest = np.flatnonzero(~(real | imag))
+    if len(rest) and L % 2 == 0:
+        n, p = L // 2, sq[rest]
+        roots = rest[np.all(p[:, 0::2] == p[:, :1], axis=-1)
+                     & np.all(p[:, 1::2] == p[:, 1:2], axis=-1)
+                     & (p[:, 0] * p[:, 1] < 0.0)]
+        a, b = sq[roots, 0], sq[roots, 1]
+        lam2, ok, z = _ssh_squares(a, b, n)
+        # 0.0 + keeps the parts +0.0
+        E = 0.0 + np.sqrt(lam2)
+        # site signs tau carry the principal couplings sqrt(p) to s, as in
+        # _split_eig: s / sqrt(p) = sign(s.real + s.imag)
+        tau = np.cumprod(np.sign(s[roots].real + s[roots].imag), axis=-1)
+        odd, even, finite = _ssh_vectors(
+            z, E, np.sqrt(a.astype(complex))[:, None],
+            np.sqrt(b.astype(complex))[:, None],
+            np.concatenate([np.ones((len(roots), 1)), tau], axis=-1))
+        # the refused rows are overwritten below
+        lam[roots] = np.concatenate([E, 0.0 - E], axis=-1)
+        Yt[roots, :n, 0::2] = Yt[roots, n:, 0::2] = odd
+        Yt[roots, :n, 1::2] = even
+        Yt[roots, n:, 1::2] = -even
+        rest = np.setdiff1d(rest, roots[ok & finite])
+    for i in rest:
+        lam[i], Y = _split_eig(s[i], sq[i])
+        Yt[i] = Y.T
+    return lam.reshape(shape + (L,)), Yt.reshape(shape + (L, L)), d
+
+
+def _chain_intensities(Yt, d):
+    """Intensities |d_j y_nj|^2 of the chain vectors diag(d) y_n, as
+    (..., modes, sites), and their sums per mode, for the rows y_n of Yt
+    and envelopes d of _chain_eigenpairs. Each d_j is exactly real or
+    imaginary, so (|d_j| Re y_nj)^2 + (|d_j| Im y_nj)^2 is bit for bit
+    Re(x)^2 + Im(x)^2 of the complex product x = d_j y_nj. Raises
+    Overflow where a sum is 0 or NaN: the vector's norm leaves the float
+    range, and no unit vector is left."""
+    env = np.abs(d)[..., None, :]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        P = Yt.real * env
+        P *= P
+        im = Yt.imag * env
+        im *= im
+        P += im
+        total = P.sum(axis=-1)
+    if not np.all(total > 0.0):
         raise Overflow("eigenvector norm overflows or underflows; chain "
                        "too long for this non-reciprocity")
-    return lam, Y, X
+    return P, total
+
+
+def _balanced_tridiag_eig(up, lo, sq):
+    """Eigenpairs (lam, Y, X) of one zero-diagonal tridiagonal chain, or of
+    a (..., L-1) stack, by _chain_eigenpairs: Y the unit balanced vectors
+    and X the vectors diag(d) Y of the chain itself, as columns.
+
+    Each column of X is diag(d) y_n times a power of two, to a norm in
+    [2^-1/2, 2^1/2): so Re(X)^2 + Im(X)^2 is an exact multiple of
+    _chain_intensities, and the mean dIPR of X (_mean_dipr_chains) equals
+    the one dipr_map takes from the intensities, bit for bit. A norm past
+    the float range raises Overflow if it underflows, and gives a zero
+    column if it overflows, as a division by the norm did.
+    """
+    lam, Yt, d = _chain_eigenpairs(up, lo, sq)
+    _, total = _chain_intensities(Yt, d)
+    scale = np.where(np.isinf(total), 0.0,
+                     np.ldexp(1.0, -(np.frexp(total)[1] // 2)))
+    Xt = np.multiply(Yt, d[..., None, :]) * scale[..., None]
+    return lam, np.swapaxes(Yt, -1, -2), np.swapaxes(Xt, -1, -2)
 
 
 def _tridiag_residual(up, lo, lam, X):
@@ -442,29 +589,33 @@ def _tridiag_residual(up, lo, lam, X):
 
 
 def _obc_chain_eigs(params):
-    """Per OBC chain (lam, Y, X): the eigenpairs of _balanced_tridiag_eig,
-    the balanced vectors Y and the unit columns X. Balanced OBC only."""
+    """Per OBC chain (lam, Y, X) of _balanced_tridiag_eig: the eigenvalues,
+    the unit balanced vectors Y and the chain vectors X, from one call on
+    the pair of chains; the one-node case of dipr_map's stacked solve.
+    Balanced OBC only."""
     bonds = _chain_bonds(params)
     if params.boundary != OBC:
         raise ValueError("chain eigendecomposition is open-boundary only")
-    return tuple(_balanced_tridiag_eig(up[:-1], lo[:-1], sq[:-1])
-                 for up, lo, sq in bonds)
+    up, lo, sq = (np.array(x)[:, :-1] for x in zip(*bonds))
+    return tuple(zip(*_balanced_tridiag_eig(up, lo, sq)))
 
 
 def obc_eig_via_chains(params):
     """Eigenpairs of the balanced OBC ladder through the decoupled chains.
 
     Same decoupling as obc_spectrum_via_chains but keeping eigenvectors:
-    each chain is balanced bond by bond, solved, unbalanced, and mapped
-    back to the site basis. Use this instead of eig(build_realspace(...))
-    whenever ladder eigenvectors are needed at system sizes where the skin
-    envelope ruins the dense solve. residual_max is the larger residual
-    ||T x - lam x|| of the unit chain vectors on their chains, which the
-    ladder vectors W^+ P (X1 (+) X2) share up to rounding. dipr_map needs
-    no ladder vectors: it works on the chain eigenpairs underneath
-    (_obc_chain_eigs) directly. The eigenvector condition is not computed
-    (evec_condition is inf). Balanced OBC only; raises SingularGauge on
-    exceptional parameters.
+    each chain is balanced bond by bond, solved (_obc_chain_eigs: the
+    closed-form SSH vectors at certified roots, an svd or a half-size eig
+    otherwise), unbalanced, and mapped back to the site basis. Use this
+    instead of eig(build_realspace(...)) whenever ladder eigenvectors are
+    needed at system sizes where the skin envelope ruins the dense solve.
+    residual_max is the larger residual ||T x - lam x|| of the chain
+    vectors X (norms within a factor sqrt 2 of 1) on their chains, which
+    the unit ladder vectors W^+ P (X1 (+) X2) share up to that factor and
+    rounding. dipr_map needs no vectors X: it takes the same chain solve
+    on a block of nodes and averages intensities. The eigenvector
+    condition is not computed (evec_condition is inf). Balanced OBC only;
+    raises SingularGauge on exceptional parameters.
     """
     chains = _obc_chain_eigs(params)
     residual = max(_tridiag_residual(up[:-1], lo[:-1], lam, X)

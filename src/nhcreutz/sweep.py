@@ -7,20 +7,27 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .degeneracy import (GENERIC, classify_point, closed_form_blocks,
-                         locus_labels, obc_tol_abs, resolve_structure)
+from .degeneracy import (DFB_PBC, GENERIC, _defective_flags,
+                         classify_point, locus_labels, obc_tol_abs,
+                         resolve_structure)
 from .dynamics import (_final_mipr_and_support, _require_finite,
                        _step_propagator, _time_grid, initial_state)
-from .localization import _mean_dipr_chains
-from .model import (OBC, PBC, ModelParams, _chain_pair, build_nhssh,
-                    dressed, nhssh_permutation, w_basis)
-from .spectral import (_obc_chain_eigs, _tridiag_spectrum_from_squares,
-                       classify, ladder_spectrum, pbc_bands)
+from .localization import _dipr_means
+from .model import (OBC, PBC, ModelParams, _bond_stack, _chain_pair,
+                    build_nhssh, dressed, nhssh_permutation, w_basis)
+from .spectral import (_chain_eigenpairs, _chain_intensities,
+                       _tridiag_spectrum_from_squares, classify,
+                       ladder_spectrum, pbc_bands)
 
 # whole grid rows per stacked chain solve in phase_diagram, up to this
 # many chain products: bounded memory at large L, and past about 128
 # nodes per call a larger stack solves no faster
 BLOCK_PRODUCTS = 2 ** 15
+
+# grid nodes per stacked chain eigensolve in dipr_map, up to this many
+# chain-vector entries (2 L^2 a node) and at least one node: the vectors
+# and their real intensities stay a few MB at any L
+BLOCK_VECTOR_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -165,47 +172,105 @@ def phase_diagram(spec):
     return out
 
 
-def _dipr_node(params, report):
-    """(mean dIPR, defective) of one OBC node, given its classify_point
-    report. On the loci (closed_form_blocks) H is defective or its
-    eigenvalues are degenerate, so the eigenvector average is not a
-    function of H: the mean is None and defective is the closed form's.
-    Elsewhere both come from the two balanced chains (_obc_chain_eigs):
-    the mean from their unit vectors X, defective from resolve_structure
-    on their balanced vectors Y. A failed chain solve raises."""
-    if closed_form_blocks(report, params.L) is not None:
-        return None, resolve_structure(params, report).defective
+def _dipr_chains(up, lo, sq):
+    """(mean dIPR, defective) arrays of a stack of OBC nodes off the
+    closed-form loci from the bonds (..., 2, L-1) of their two chains, in
+    one _chain_eigenpairs call: the mean from the chain intensities
+    (_dipr_means) and defective from the condition numbers of the
+    balanced vectors (_defective_flags), with no vectors X formed. One
+    node gives, bit for bit, _mean_dipr_chains on the vectors X of
+    _obc_chain_eigs and the defective flag of resolve_structure on its
+    chains. A failure anywhere in the stack raises."""
     with np.errstate(all="ignore"):
-        chains = _obc_chain_eigs(params)
-    return (_mean_dipr_chains([X for _, _, X in chains]),
-            resolve_structure(params, report, chains).defective)
+        _, Yt, d = _chain_eigenpairs(up, lo, sq)
+        means = _dipr_means(*_chain_intensities(Yt, d))
+    return means, _defective_flags(Yt)
+
+
+def _locus_row(spec, t0, gbar):
+    """The dipr_map row of a node on a locus of closed_form_blocks. There
+    H is defective or its eigenvalues are degenerate, so the eigenvector
+    average is not a function of H: the mean is None and defective is the
+    closed form's (resolve_structure). A failure is the row's status."""
+    try:
+        params = _node_params(spec, t0, gbar, OBC)
+        report = resolve_structure(params, classify_point(params))
+        return GridRow(t0=t0, gbar=gbar, defective=report.defective,
+                       degeneracy_label=report.label,
+                       status=_status_flag(report.label))
+    except Exception as exc:  # row-level marker, never abort the grid
+        return GridRow(t0=t0, gbar=gbar, status=type(exc).__name__)
 
 
 def dipr_map(spec):
     """Eigenstate-averaged half-chain IPR difference and a defectiveness
-    flag per node (_dipr_node). Off the loci the average comes straight
-    from the eigenvectors of the two balanced chains (_mean_dipr_chains),
-    with no ladder Hamiltonian or ladder vectors; on the loci it is None,
-    and the status names the locus. Node by node: a failure, such as a
-    balancing envelope past the float range (Overflow), stays at its node
-    and its name is the row's status. Labels come from scalar
-    classify_point, not locus_labels, since closed_form_blocks and
-    resolve_structure need the whole report, lam included."""
+    flag per node. Off the loci the average comes straight from the
+    eigenvectors of the two balanced chains, with no ladder Hamiltonian or
+    ladder vectors; on the loci it is None, and the status names the
+    locus.
+
+    A block of grid nodes at a time, in row order (fixed gbar, then t0),
+    up to about BLOCK_VECTOR_ENTRIES chain-vector entries and at least
+    one node, so a wide row at large L is split: locus_labels labels the
+    block, and model.dressed and _bond_stack lay out the chain bonds of
+    its Generic and DFB_PBC nodes, which go to one _dipr_chains call: one
+    svd with vectors per sign for the same-sign chains, the closed-form
+    SSH vectors at the certified roots of _ssh_squares for the mixed-sign
+    ones, and _split_eig on the few chains the certificate refuses (1.7%
+    of the mixed-sign chains on the benchmark's dipr tiles). If that call
+    raises, its nodes are solved one at a time by the same function, so a
+    failure, such as a balancing envelope past the float range
+    (Overflow), stays at its node and its name is the row's status. The
+    other labels have closed forms (_locus_row), which take the scalar
+    classify_point report, lam included. A bad or odd L gives that error
+    as every row's status.
+    """
     t0_vals, gbar_vals = grid_axes(spec)
+    try:
+        L = ModelParams.from_bars(tbar=spec.tbar, g0=spec.g0, L=spec.L).L
+        if L % 2:
+            raise ValueError("chain decomposition needs even L")
+    except Exception as exc:  # every node would raise it
+        return [GridRow(t0=t0, gbar=gbar, status=type(exc).__name__)
+                for gbar in gbar_vals for t0 in t0_vals]
+    tbar, g0 = spec.tbar, spec.g0
+    # the nodes in row order (gbar outer, t0 inner)
+    t0_nodes = np.tile(t0_vals, len(gbar_vals))
+    gbar_nodes = np.repeat(gbar_vals, len(t0_vals))
+    per_block = max(1, BLOCK_VECTOR_ENTRIES // (2 * L * L))
     out = []
-    for gbar in gbar_vals:
-        for t0 in t0_vals:
-            try:
-                params = _node_params(spec, t0, gbar, OBC)
-                report = classify_point(params)
-                value, dfc = _dipr_node(params, report)
-                out.append(GridRow(t0=t0, gbar=gbar, mean_dipr=value,
-                                   defective=dfc,
-                                   degeneracy_label=report.label,
-                                   status=_status_flag(report.label)))
-            except Exception as exc:  # row-level marker, never abort the grid
-                out.append(GridRow(t0=t0, gbar=gbar,
-                                   status=type(exc).__name__))
+    for start in range(0, len(t0_nodes), per_block):
+        t0_b = t0_nodes[start:start + per_block]
+        gbar_b = gbar_nodes[start:start + per_block]
+        # products past the float range are left to the nodes' own solves
+        with np.errstate(all="ignore"):
+            labels = locus_labels(tbar, t0_b, gbar_b, g0)
+            chain = np.flatnonzero((labels == GENERIC) | (labels == DFB_PBC))
+            up, lo, sq = (x[..., :-1] for x in _bond_stack(
+                *dressed(tbar, t0_b[chain], gbar_b[chain], g0), L))
+        values = {}
+        try:
+            if len(chain):
+                values = dict(zip(chain.tolist(), zip(
+                    *(x.tolist() for x in _dipr_chains(up, lo, sq)))))
+        except Exception:  # node by node, so the failure stays at its node
+            for j, node in enumerate(chain.tolist()):
+                try:
+                    mean, flag = _dipr_chains(up[j], lo[j], sq[j])
+                    values[node] = (float(mean), bool(flag))
+                except Exception as exc:  # row-level marker
+                    values[node] = type(exc).__name__
+        for i, (t0, gbar) in enumerate(zip(t0_b, gbar_b)):
+            value = values.get(i)
+            if value is None:
+                out.append(_locus_row(spec, t0, gbar))
+            elif isinstance(value, str):
+                out.append(GridRow(t0=t0, gbar=gbar, status=value))
+            else:
+                label = str(labels[i])
+                out.append(GridRow(t0=t0, gbar=gbar, mean_dipr=value[0],
+                                   defective=value[1], degeneracy_label=label,
+                                   status=_status_flag(label)))
     return out
 
 

@@ -654,27 +654,28 @@ class TestColumnarWriter:
                                                sweep_fn, fields, columns,
                                                fmt):
         grids = recording(monkeypatch, sweep_fn)
-        # one node of the tile fails: in phase through the chain solve (the
-        # stacked call that holds the node's products, then its own call),
-        # in mipr through its chains, in dipr through classify_point
-        if command == "phase":
-            bad = ModelParams.from_bars(t0=0.5, gbar=-0.5, g0=0.5, L=10)
-            bad_sq = np.array([sq[:-1] for _, _, sq in _chain_bonds(bad)])
-            name = "_tridiag_spectrum_from_squares"
-
-            def fails(sq):
-                return (sq == bad_sq).all(axis=(-2, -1)).any()
-        else:
-            name = "build_nhssh" if command == "mipr" else "classify_point"
+        # one node of the tile fails: in phase and dipr through the chain
+        # solve (the stacked call that holds the node's products, then its
+        # own call), in mipr through its chains
+        if command == "mipr":
+            name = "build_nhssh"
 
             def fails(params):
                 return (params.t0, params.g1) == (0.5, -0.5)
+        else:
+            bad = ModelParams.from_bars(t0=0.5, gbar=-0.5, g0=0.5, L=10)
+            bad_sq = np.array([sq[:-1] for _, _, sq in _chain_bonds(bad)])
+            name = "_tridiag_spectrum_from_squares" if command == "phase" \
+                else "_chain_eigenpairs"
+
+            def fails(*bonds):  # the products come last
+                return (bonds[-1] == bad_sq).all(axis=(-2, -1)).any()
         real = getattr(sweep, name)
 
-        def failing(arg):
-            if fails(arg):
+        def failing(*args):
+            if fails(*args):
                 raise ConvergenceFailure("injected")
-            return real(arg)
+            return real(*args)
 
         monkeypatch.setattr(sweep, name, failing)
         argv = [command, "--g0", "0.5", "--grid", "4x4", "--range",

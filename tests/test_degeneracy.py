@@ -505,16 +505,16 @@ class TestDefectiveness:
 
     def test_sweep_node_with_non_finite_vector(self, monkeypatch):
         # a mixed-sign Generic node, so the numerical test runs on the
-        # balanced vectors Y; one is poisoned after the chain solve
-        chain_eigs = sweep._obc_chain_eigs
+        # balanced vectors Y; one is poisoned after the chain solve, on its
+        # way into the condition test (the rows of Yt are the vectors)
+        flags = sweep._defective_flags
 
-        def poisoned(params):
-            (lam, Y, X), second = chain_eigs(params)
-            Y = Y.copy()
-            Y[:, 3] = np.nan
-            return (lam, Y, X), second
+        def poisoned(Yt):
+            Yt = Yt.copy()
+            Yt[..., 3, :] = np.nan
+            return flags(Yt)
 
-        monkeypatch.setattr(sweep, "_obc_chain_eigs", poisoned)
+        monkeypatch.setattr(sweep, "_defective_flags", poisoned)
         s = GridSpec(t0_range=(0.49, 0.5, 2), gbar_range=(-0.32, -0.31, 2),
                      g0=0.6, L=10)
         assert [r.status for r in dipr_map(s)] == ["LinAlgError"] * 4

@@ -37,10 +37,12 @@ from nhcreutz import (
     spectral_density_M,
 )
 from nhcreutz import spectral
-from nhcreutz.model import _chain_bonds
-from nhcreutz.spectral import (_balanced_tridiag_eig, _golub_kahan,
-                               _split_eig, _split_halves, _ssh_squares,
-                               _tridiag_spectrum_from_squares)
+from nhcreutz.degeneracy import condition_defective
+from nhcreutz.localization import _mean_dipr_chains
+from nhcreutz.model import _chain_bonds, _envelope
+from nhcreutz.spectral import (_balanced_tridiag_eig, _chain_eigenpairs,
+                               _golub_kahan, _split_eig, _split_halves,
+                               _ssh_squares, _tridiag_spectrum_from_squares)
 
 
 def params(tbar=1.0, t0=0.8, gbar=0.4, g0=0.5, dt=0.0, dg=0.0, L=10,
@@ -460,7 +462,7 @@ class TestSSHRoots:
         # 1.89e-12, where 1 + r z cancels at the edge root
         sq = ssh_row(-0.3, 0.9, 50)
         assert certified(sq)
-        lam, _ = _ssh_squares(sq[:1], sq[1:2], 25)
+        lam, _, _ = _ssh_squares(sq[:1], sq[1:2], 25)
         assert 1.88e-12 < np.abs(lam).min() < 1.90e-12
         E = _tridiag_spectrum_from_squares(sq)
         ref = charpoly_chain_spectrum(sq, dps=80)
@@ -545,6 +547,132 @@ class TestThermodynamicLimit:
             assert all(map(certified, rows))
             M = chain_M(np.concatenate(obc_spectrum_via_chains(p)))
             assert abs(M - self.M_inf(p)) <= self.C / L
+
+
+def balanced_couplings(sq, rng):
+    """Couplings of a balanced chain with products sq: each real or
+    imaginary, a principal root times a random sign."""
+    root = np.where(sq > 0.0, np.sqrt(np.abs(sq)), 1j * np.sqrt(np.abs(sq)))
+    return root * rng.choice([-1.0, 1.0], len(sq))
+
+
+def balanced_by_kernel(up, lo):
+    """The couplings that _chain_eigenpairs solves for a chain with
+    superdiagonal up and subdiagonal lo: up d_(j+1) / d_j, d its
+    envelope. For up = lo = s they are s to rounding, as s / s is 1 to
+    rounding in numpy's complex division."""
+    d = _envelope(np.sqrt(lo / up))
+    return up * d[..., 1:] / d[..., :-1]
+
+
+def skin_chain(a, b, skew, L):
+    """(up, lo, sq) of a 2-periodic chain of order L with pure imaginary
+    entries, as the ladder's chains have: products a, b, a, ..., a, and
+    |lo/up| = e^(-2 skew) on every bond, a skin envelope."""
+    mag = np.sqrt(np.abs(np.resize([a, b], L - 1)))
+    sign = np.sign(np.resize([a, b], L - 1))
+    up_mag, lo_mag = mag * math.exp(skew), -sign * mag * math.exp(-skew)
+    up, lo = -1j * up_mag, -1j * lo_mag
+    sq = -(up_mag * lo_mag)
+    assert np.array_equal(sq, (up * lo).real)
+    return up, lo, sq
+
+
+def old_chain_route(up, lo, sq):
+    """Eigenvalues, unit balanced vectors and envelope of a mixed-sign
+    chain from _split_eig, as every mixed-sign chain was solved before the
+    closed form."""
+    d = _envelope(np.sqrt(lo / up))
+    lam, Y = _split_eig(balanced_by_kernel(up, lo), sq)
+    return lam, Y, d
+
+
+class TestSSHVectors:
+    """The closed-form eigenvectors of _ssh_vectors, which
+    _chain_eigenpairs takes on certified 2-periodic mixed-sign chains,
+    against the half-size eig of _split_eig."""
+
+    def test_closed_form_pairs_match_split_eig(self, monkeypatch):
+        # L = 4..50 (L = 2 has one product, so no mixed sign), odd and
+        # even n, |r| = sqrt|b/a| either side of the edge threshold
+        # (n+1)/n, and a skin envelope of up to e^(0.3 L) end to end
+        rng = np.random.default_rng(43)
+        tried, edge = 0, 0
+        split_eig = spectral._split_eig
+
+        def refused(s, sq):
+            raise AssertionError("a certified row reached _split_eig")
+
+        for L in range(4, 51, 2):
+            n = L // 2
+            for _ in range(8):
+                a = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+                r = rng.choice([rng.uniform(0.05, 1.0),
+                                rng.uniform(1.05, 4.0) * (n + 1) / n])
+                up, lo, sq = skin_chain(a, -a * r * r,
+                                        rng.uniform(-0.15, 0.15), L)
+                if not certified(sq):
+                    continue
+                tried += 1
+                edge += r > (n + 1) / n
+                monkeypatch.setattr(spectral, "_split_eig", refused)
+                lam, Yt, d = _chain_eigenpairs(up, lo, sq)
+                monkeypatch.setattr(spectral, "_split_eig", split_eig)
+                lam_old, Y_old, d_old = old_chain_route(up, lo, sq)
+                assert np.array_equal(d, d_old)
+                s = balanced_by_kernel(up, lo)
+                T = np.diag(s, 1) + np.diag(s, -1)
+                Y = Yt.T
+                emax = np.abs(lam).max()
+                assert np.abs(np.linalg.norm(Y, axis=0) - 1.0).max() <= 1e-14
+                assert np.linalg.norm(T @ Y - Y * lam, axis=0).max() \
+                    <= 1e-12 * emax
+                assert np.array_equal(lam, _tridiag_spectrum_from_squares(sq))
+                assert abs(_mean_dipr_chains([d[:, None] * Y])
+                           - _mean_dipr_chains([d[:, None] * Y_old])) \
+                    <= 1e-13
+                assert condition_defective([(lam, Y)]) \
+                    is condition_defective([(lam_old, Y_old)])
+        assert tried >= 150 and edge >= 50
+
+    @pytest.mark.parametrize("L", [200, 400])
+    def test_edge_pair_below_the_float_range(self, L):
+        # |r| = 17.9 at n = 100 and 200: the edge pair's lam = E^2 is
+        # 1.3e-250 at L = 200 and underflows to 0 at L = 400. Each of its
+        # two modes still holds half its weight on the odd and half on
+        # the even sites, as the half-size eig gives them
+        up, lo, sq = skin_chain(-0.01, 3.19, 0.1, L)
+        assert certified(sq)
+        lam, Yt, d = _chain_eigenpairs(up, lo, sq)
+        edge = np.argsort(np.abs(lam))[:2]
+        assert np.abs(lam[edge]).max() < 1e-120
+        share = (np.abs(Yt[edge, 0::2]) ** 2).sum(axis=-1)
+        assert np.abs(share - 0.5).max() <= 1e-12
+        _, Y_old, _ = old_chain_route(up, lo, sq)
+        assert abs(_mean_dipr_chains([d[:, None] * Yt.T])
+                   - _mean_dipr_chains([d[:, None] * Y_old])) <= 1e-13
+
+    def test_refused_rows_equal_split_eig_bytes(self):
+        # rows the certificate refuses (|r| just past (n+1)/n) take
+        # _split_eig as before, alone and in a stack with certified rows
+        rng = np.random.default_rng(47)
+        for L in (4, 10, 50):
+            n = L // 2
+            refused = [ssh_row(s * 0.7, -s * 0.7 * (f * (n + 1) / n) ** 2, L)
+                       for s in (1.0, -1.0) for f in (1.01, 1.02)]
+            assert not any(map(certified, refused))
+            rows = np.array(refused + ssh_rows(L, 4, seed=L))
+            c = np.array([balanced_couplings(row, rng) for row in rows])
+            lam, Yt, _ = _chain_eigenpairs(c, c, rows)
+            for i, (ci, row) in enumerate(zip(c, rows)):
+                alone = _chain_eigenpairs(ci, ci, row)
+                assert lam[i].tobytes() == alone[0].tobytes()
+                assert Yt[i].tobytes() == alone[1].tobytes()
+                if i < len(refused):
+                    lam_old, Y_old = _split_eig(balanced_by_kernel(ci, ci),
+                                                row)
+                    assert lam[i].tobytes() == lam_old.tobytes()
+                    assert Yt[i].tobytes() == Y_old.T.copy().tobytes()
 
 
 class TestChainEig:

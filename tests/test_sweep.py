@@ -6,7 +6,8 @@ import pytest
 
 import nhcreutz.sweep as sweep
 from nhcreutz.degeneracy import (DFB_PBC, GENERIC, _defective_from,
-                                 condition_defective, obc_tol_abs)
+                                 condition_defective, obc_tol_abs,
+                                 resolve_structure)
 from nhcreutz.localization import _mean_dipr_chains
 from nhcreutz.model import _chain_bonds
 from nhcreutz.spectral import _obc_chain_eigs, _tridiag_residual
@@ -328,7 +329,7 @@ CHAIN_NEAR_EXCEPTIONAL = [
 def chain_vectors(p):
     """The unit chain eigenvectors X of a node, as dipr_map takes them."""
     with np.errstate(all="ignore"):
-        return [X for _, _, X in sweep._obc_chain_eigs(p)]
+        return [X for _, _, X in _obc_chain_eigs(p)]
 
 
 # (t0, gbar, g0, 60-digit <dIPR>, L, tolerance)
@@ -437,6 +438,23 @@ class TestDiprMap:
         assert (row.status, row.mean_dipr, row.defective) \
             == ("Overflow", None, None)
 
+    def test_dfb_pbc_rows_take_the_chain_route(self):
+        # DFB_PBC (here the anti-Hermitian line tbar = t0 = 0) has no
+        # closed form, so its nodes join the Generic ones in the stacked
+        # chain solve; each row is the single-point route bit for bit
+        s = GridSpec(t0_range=(-1.0, 1.0, 5), gbar_range=(-1.2, 1.2, 5),
+                     g0=-0.7, tbar=0.0, L=50)
+        rows = [r for r in dipr_map(s) if r.degeneracy_label == DFB_PBC]
+        assert len(rows) == 5
+        for r in rows:
+            p = ModelParams.from_bars(tbar=0.0, t0=r.t0, gbar=r.gbar,
+                                      g0=-0.7, L=50)
+            chains = _obc_chain_eigs(p)
+            assert r.status == DFB_PBC and type(r.status) is str
+            assert r.mean_dipr == _mean_dipr_chains([X for _, _, X in chains])
+            assert r.defective is resolve_structure(
+                p, classify_point(p), chains).defective
+
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
         # where the chain solve passes the gate, the row is its average
@@ -507,6 +525,78 @@ class TestDiprMap:
         assert _defective_from(lam, X, 1e-6)
         assert not _defective_from(lam, Y, 1e-6)
 
+    @pytest.mark.parametrize("L,n", [(10, 51), (50, 9)])
+    def test_rows_equal_whatever_the_block(self, monkeypatch, L, n):
+        # one node per block, blocks of n + 3 nodes that straddle rows,
+        # two rows per block, one block for the whole grid, and one node
+        # per call (every stacked call refused, so each node takes the
+        # node-by-node path) give the same rows, bit for bit. The whole 51x51 grid at L = 10 (3688 mixed-sign chains)
+        # takes every complex temporary of the root kernel and the closed
+        # form past 256 KiB, where numpy's temporary elision starts; at
+        # L = 50 the (chain, root, site) ones are past it.
+        s = spec(lo=-1.5, hi=1.5, n=n, L=L, g0=0.45, snap_special=True)
+        rows = dipr_map(s)
+        assert sum(r.degeneracy_label == GENERIC for r in rows) >= 0.9 * n * n
+        for entries in (1, (n + 3) * 2 * L * L, 2 * n * 2 * L * L, 10 ** 9):
+            monkeypatch.setattr(sweep, "BLOCK_VECTOR_ENTRIES", entries)
+            assert dipr_map(s) == rows
+        solve = sweep._dipr_chains
+
+        def one_node_only(up, lo, sq):
+            if up.ndim > 2:
+                raise ConvergenceFailure("stacks refused")
+            return solve(up, lo, sq)
+
+        monkeypatch.setattr(sweep, "_dipr_chains", one_node_only)
+        assert dipr_map(s) == rows
+
+    def test_node_failure_stays_at_node(self, monkeypatch):
+        # the block's stacked eigensolve raises because it holds the bad
+        # node's bonds, then the bad node's own call raises again; every
+        # other node, Generic or on a locus, keeps its row
+        s = spec(n=4, L=10)
+        clean = dipr_map(s)
+        bad = clean[6]
+        assert bad.status == "ok"
+        bad_up, _, bad_sq = (np.array(x)[:, :-1] for x in zip(*_chain_bonds(
+            sweep._node_params(s, bad.t0, bad.gbar, OBC))))
+        solve = sweep._chain_eigenpairs
+
+        def failing(up, lo, sq):
+            if ((up == bad_up) & (sq == bad_sq)).all(axis=(-2, -1)).any():
+                raise ConvergenceFailure("injected")
+            return solve(up, lo, sq)
+
+        monkeypatch.setattr(sweep, "_chain_eigenpairs", failing)
+        rows = dipr_map(s)
+        assert rows[6] == GridRow(t0=bad.t0, gbar=bad.gbar,
+                                  status="ConvergenceFailure")
+        assert rows[:6] + rows[7:] == clean[:6] + clean[7:]
+
+    def test_eig_share_on_a_dipr_tile(self, monkeypatch):
+        # one L = 50 tile like the benchmark's dipr workload: the chains
+        # that reach np.linalg.eig (_split_eig) are those the root
+        # certificate refuses, 5% of the mixed-sign chains at most
+        eig_ = np.linalg.eig
+        calls = []
+
+        def counting(a):
+            calls.append(len(a))
+            return eig_(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        s = GridSpec(t0_range=(-1.6, 0.8, 12), gbar_range=(-1.6, 0.8, 12),
+                     g0=0.45, L=50, snap_special=True)
+        rows = dipr_map(s)
+        mixed = 0
+        for r in rows:
+            d = derive(ModelParams.from_bars(t0=r.t0, gbar=r.gbar, g0=0.45,
+                                             L=50))
+            mixed += 2 * (r.degeneracy_label == GENERIC and d.u2 * d.v2 < 0)
+        assert all(r.status in ("ok", r.degeneracy_label) for r in rows)
+        assert mixed >= 150
+        assert len(calls) <= 0.05 * mixed
+
     @pytest.mark.parametrize("gbar, defective", [
         (0.9144317303652489, True), (0.9144317303652489 + 1e-9, False)])
     def test_finite_size_exceptional_point(self, gbar, defective):
@@ -553,9 +643,9 @@ def random_generic_nodes(L, n, seed):
 
 
 class TestChainRoute:
-    """The dIPR map's chain route (sweep._obc_chain_eigs, the direct
-    formula and the condition test) against the ladder vectors of
-    obc_eig_via_chains and the clustered-rank test."""
+    """The dIPR map's chain route in its one-node case (_obc_chain_eigs,
+    the direct formula and the condition test) against the ladder vectors
+    of obc_eig_via_chains and the clustered-rank test."""
 
     @pytest.mark.parametrize("L, seed", [(10, 1), (50, 2)])
     def test_direct_formula_and_residual_match_ladder(self, L, seed):
