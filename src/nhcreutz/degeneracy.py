@@ -10,8 +10,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditioned, WrongClass
-from .model import OBC, build_realspace, derive, dressed, require_balanced
-from .spectral import _obc_chain_eigs, eig, obc_spectrum_via_chains
+from .model import (OBC, _chain_bonds, build_realspace, derive, dressed,
+                    require_balanced)
+from .spectral import _chain_eigenpairs, eig, obc_spectrum_via_chains
 
 GENERIC = "Generic"
 EL_U = "ELu"
@@ -205,10 +206,13 @@ def closed_form_blocks(report, L):
 
 
 def _defective_flags(Yt):
-    """condition_defective per node of a stack of balanced chain vectors,
-    the rows of Yt (..., chains, modes, sites): kappa_n = sum |y|^2 /
-    |sum y^2|, its largest value per node against KAPPA_MAX. A NaN kappa
-    raises LinAlgError."""
+    """True per node when a chain eigenvalue's condition number kappa_n =
+    ||y_n||^2 / |y_n^T y_n| exceeds KAPPA_MAX, for a stack of balanced
+    chain vectors y_n, the rows of Yt (..., chains, modes, sites) of
+    _chain_eigenpairs. A balanced chain is complex symmetric, so y_n^T is
+    the left eigenvector; at an exceptional point y_n is self-orthogonal
+    (Moiseyev, Non-Hermitian Quantum Mechanics, 2011). Real Y (same-sign
+    chains) gives kappa = 1. A NaN kappa raises LinAlgError."""
     Yt = np.ascontiguousarray(Yt)
     parts = Yt.view(float)  # real and imaginary parts side by side
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,45 +224,30 @@ def _defective_flags(Yt):
     return kappa > KAPPA_MAX
 
 
-def condition_defective(chains):
-    """True when a chain eigenvalue's condition number
-    kappa_n = ||y_n||^2 / |y_n^T y_n| exceeds KAPPA_MAX, on the balanced
-    vectors Y of chains, per chain (lam, Y, ...) of _obc_chain_eigs. A
-    balanced chain is complex symmetric, so y_n^T is the left eigenvector;
-    at an exceptional point y_n is self-orthogonal (Moiseyev, Non-Hermitian
-    Quantum Mechanics, 2011). Real Y (same-sign chains) gives kappa = 1. A
-    NaN kappa raises LinAlgError. The one-node case of _defective_flags,
-    which dipr_map takes on a block of nodes."""
-    return bool(_defective_flags(
-        np.stack([np.swapaxes(c[1], -1, -2) for c in chains])))
-
-
-def resolve_structure(params, report, chains=None):
+def resolve_structure(params, report):
     """The classify_point report at params with the open ladder's Jordan
     blocks and defective flag, from structure alone: closed_form_blocks,
     defective iff a block has size >= 2; on DFB_PBC (balanced legs: only at
     tbar = t0 = 0, where H is anti-Hermitian, and in a sliver beside the
     diabolical flat band) size-1 blocks at lam, -lam and 0, as many as the
-    OBC chain spectrum holds within 1e-6 max|E|; no blocks at Generic.
-    condition_defective decides the rest, on chains (_obc_chain_eigs) if
-    given, which DFB_PBC solves itself when they are not; a Generic report
-    without chains keeps defective None."""
+    OBC chain spectrum holds within 1e-6 max|E|, and defective from
+    _defective_flags, both from one _chain_eigenpairs call on the two
+    chains; no blocks at Generic, whose report keeps defective None."""
     blocks = closed_form_blocks(report, params.L)
     if blocks is not None:
         return replace(report, jordan=blocks, defective=any(
             s >= 2 for _, sizes in blocks for s in sizes))
-    if report.label == DFB_PBC:
-        if chains is None:
-            chains = _obc_chain_eigs(replace(params, boundary=OBC))
-        eigs = np.concatenate([lam for lam, _, _ in chains])
-        near = [(c, np.count_nonzero(np.abs(eigs - c)
-                                     <= 1e-6 * np.abs(eigs).max()))
-                for c in dict.fromkeys((report.lam, -report.lam, 0j))]
-        report = replace(report, jordan=tuple((c, (1,) * n) for c, n in near
-                                              if n))
-    if chains is None:
+    if report.label != DFB_PBC:
         return report
-    return replace(report, defective=condition_defective(chains))
+    up, lo, sq = (np.array(x)[:, :-1]
+                  for x in zip(*_chain_bonds(replace(params, boundary=OBC))))
+    lam, Yt, _ = _chain_eigenpairs(up, lo, sq)
+    eigs = lam.ravel()
+    near = [(c, np.count_nonzero(np.abs(eigs - c)
+                                 <= 1e-6 * np.abs(eigs).max()))
+            for c in dict.fromkeys((report.lam, -report.lam, 0j))]
+    return replace(report, jordan=tuple((c, (1,) * n) for c, n in near if n),
+                   defective=bool(_defective_flags(Yt)))
 
 
 def _defective_from(eigs, vecs, tol):

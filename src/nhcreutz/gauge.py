@@ -82,6 +82,22 @@ def hermitianize(H1, S):
     return (d[:, None] * H1) / d[None, :]
 
 
+def _sides_agree(sides, values, tol):
+    """|lhs - rhs| <= tol max(|lhs|, |rhs|) for (lhs, rhs) = sides(*values),
+    quadratic in values. Where a side overflows (inf, or OverflowError
+    from a float power), the values are first scaled by the power of two
+    that brings the largest below 1, which is exact, so large parameters
+    neither raise nor compare inf."""
+    try:
+        lhs, rhs = sides(*values)
+    except OverflowError:
+        lhs = rhs = math.inf
+    if math.isinf(lhs) or math.isinf(rhs):
+        scale = math.ldexp(1.0, -math.frexp(max(map(abs, values)))[1])
+        lhs, rhs = sides(*(x * scale for x in values))
+    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs))
+
+
 def gauge_report(params, tol=1e-9):
     """Growth factor, inverse localization length, and BBC restoration flags."""
     require_balanced(params)
@@ -102,11 +118,12 @@ def gauge_report(params, tol=1e-9):
     else:
         growth = cmath.sqrt(complex(a_plus) / complex(a_minus))
         xi_inv = 0.5 * (math.log(abs(a_plus)) - math.log(abs(a_minus)))
-    lhs_line, rhs_line = params.t0 * params.g0, d.tbar * d.gbar
-    bbc_line = abs(lhs_line - rhs_line) <= tol * max(abs(lhs_line), abs(rhs_line))
-    lhs_hyp = params.t0 ** 2 + params.g0 ** 2
-    rhs_hyp = d.tbar ** 2 + d.gbar ** 2
-    bbc_hyperbola = abs(lhs_hyp - rhs_hyp) <= tol * max(lhs_hyp, rhs_hyp)
+    values = (params.t0, params.g0, d.tbar, d.gbar)
+    bbc_line = _sides_agree(
+        lambda t0, g0, tbar, gbar: (t0 * g0, tbar * gbar), values, tol)
+    bbc_hyperbola = _sides_agree(
+        lambda t0, g0, tbar, gbar: (t0 ** 2 + g0 ** 2, tbar ** 2 + gbar ** 2),
+        values, tol)
     scale = max(abs(d.f), abs(d.g), abs(d.fp), abs(d.gp))
     near = abs(d.u) < 1e-8 * scale or abs(d.v) < 1e-8 * scale
     return GaugeReport(growth_factor=growth, xi_inv=xi_inv,

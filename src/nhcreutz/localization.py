@@ -80,14 +80,3 @@ def _dipr_means(P, total):
     dip = p[..., half:].sum(axis=-1) - p[..., :half].sum(axis=-1)
     return np.mean(dip.reshape(dip.shape[:-2] + (-1,)), axis=-1) / 2.0
 
-
-def _mean_dipr_chains(blocks):
-    """mean_dipr of the balanced OBC ladder straight from the eigenvectors
-    of its two NH-SSH chains (the columns of the two L x L blocks), by
-    _dipr_means on Re(x)^2 + Im(x)^2: for the vectors X of
-    spectral._obc_chain_eigs, bit for bit the mean that dipr_map takes
-    from the chain intensities. No ladder-sized matrix is formed.
-    """
-    Xt = np.ascontiguousarray(np.swapaxes(np.stack(blocks), -1, -2))
-    P = Xt.real * Xt.real + Xt.imag * Xt.imag
-    return float(_dipr_means(P, P.sum(axis=-1)))

@@ -1,5 +1,9 @@
-"""Analytic dispersions, dense eigensolves, spectral classification, and
-complex-plane area of the PBC bands."""
+"""Analytic dispersions, dense eigensolves, spectral classification,
+complex-plane area of the PBC bands, and the kernels of the open ladder's
+two NH-SSH chains: their spectra from the bond products
+(_tridiag_spectrum_from_squares) and their eigenpairs on the balanced
+chains (_chain_eigenpairs), each one stacked call for a point or a block
+of grid nodes."""
 
 import math
 from dataclasses import dataclass
@@ -21,9 +25,12 @@ COLLAPSED = "Collapsed"
 class SpectrumResult:
     """Eigenvalues plus optional right eigenvectors and solver diagnostics.
 
-    residual_max is max_n ||H v_n - E_n v_n||_2 over unit eigenvectors (NaN
-    when vectors were not requested); evec_condition is the 2-norm condition
-    of the eigenvector matrix (inf sentinel when not computed).
+    residual_max is max_n ||H v_n - E_n v_n||_2 over the computed vectors
+    (NaN when vectors were not requested): the unit eigenvectors of eig, or
+    on the chain route (obc_eig_via_chains) the chain vectors X on their
+    chains, whose norms are within a factor sqrt 2 of 1. evec_condition is
+    the 2-norm condition of the eigenvector matrix (inf sentinel when not
+    computed).
     """
 
     eigenvalues: np.ndarray
@@ -279,6 +286,13 @@ def _ssh_squares(a, b, n):
     return lam, ok, z
 
 
+def _two_periodic(rows):
+    """Which rows of an (m, L-1) stack of products read a, b, a, ..., a:
+    the SSH chains whose roots _ssh_squares takes."""
+    return (np.all(rows[:, 0::2] == rows[:, :1], axis=-1)
+            & np.all(rows[:, 1::2] == rows[:, 1:2], axis=-1))
+
+
 def _tridiag_spectrum_from_squares(sq):
     """Eigenvalues (..., L) of the zero-diagonal tridiagonals with a
     (..., L-1) stack sq of off-diagonal products (spectra depend only on
@@ -318,8 +332,7 @@ def _tridiag_spectrum_from_squares(sq):
         E = np.empty((len(rows), L // 2), dtype=complex)
         rest = np.ones(len(rows), dtype=bool)
         if L % 2 == 0:
-            periodic = (np.all(rows[:, 0::2] == rows[:, :1], axis=-1)
-                        & np.all(rows[:, 1::2] == rows[:, 1:2], axis=-1))
+            periodic = _two_periodic(rows)
             lam, ok, _ = _ssh_squares(rows[periodic, 0], rows[periodic, 1],
                                       L // 2)
             rest[np.flatnonzero(periodic)[ok]] = False
@@ -369,8 +382,9 @@ def ladder_spectrum(params):
 
 
 def _split_eig(s, sq):
-    """Eigenpairs of the complex symmetric chain with couplings s, each
-    real or imaginary, s^2 = sq up to rounding, sq mixed-sign.
+    """Eigenpairs of the complex symmetric chains with couplings s, each
+    real or imaginary, s^2 = sq up to rounding, sq mixed-sign: one chain
+    (L-1,) or a (..., L-1) stack, in one eig call.
 
     One real eig of the half of _split_halves gives (E0, y); the other
     half has (-E0, S y), S = diag((-1)^j). A half vector y, with the
@@ -383,16 +397,22 @@ def _split_eig(s, sq):
     """
     half, rotate = _split_halves(sq)
     E, Yh = np.linalg.eig(half)
-    S = np.resize([1.0, -1.0], len(half))[:, None]
-    turns = np.cumsum(np.concatenate([[0], np.diagonal(half, -1) < 0.0]))
+    m = half.shape[-1]
+    S = np.resize([1.0, -1.0], m)[:, None]
+    below = np.diagonal(half, -1, -2, -1) < 0.0
+    turns = np.cumsum(np.concatenate(
+        [np.zeros(below.shape[:-1] + (1,), int), below], axis=-1), axis=-1)
     y = np.array([1.0, -1j, -1.0, 1j])[turns % 4, None] \
-        * np.hstack([Yh, S * Yh]) / math.sqrt(2.0)
-    Y = np.concatenate([y, y[::-1] * np.repeat([1.0, -1.0], len(y))])
+        * np.concatenate([Yh, S * Yh], axis=-1) / math.sqrt(2.0)
+    Y = np.concatenate([y, y[..., ::-1, :] * np.repeat([1.0, -1.0], m)],
+                       axis=-2)
     # r is real or imaginary like sqrt(p): r / sqrt(p) = sign(r.real + r.imag)
-    r = 1j * s if rotate else s
-    tau = np.concatenate([[1.0], np.cumprod(np.sign(r.real + r.imag))])
-    lam = np.concatenate([E, 0.0 - E]).astype(complex)
-    return (-1j * lam if rotate else lam), tau[:, None] * Y
+    r = np.where(rotate[..., None], 1j * s, s)
+    tau = np.concatenate([np.ones(r.shape[:-1] + (1,)),
+                          np.cumprod(np.sign(r.real + r.imag), axis=-1)],
+                         axis=-1)
+    lam = np.concatenate([E, 0.0 - E], axis=-1).astype(complex)
+    return np.where(rotate[..., None], -1j * lam, lam), tau[..., None] * Y
 
 
 def _power_table(z, m):
@@ -483,7 +503,7 @@ def _chain_eigenpairs(up, lo, sq):
       certified roots of _ssh_squares and their closed-form vectors
       (_ssh_vectors);
     - other mixed chains, those the certificate refuses and those whose
-      closed form is not finite: _split_eig, one chain at a time.
+      closed form is not finite: one _split_eig call on their stack.
     Every bond must be bidirectional, which fails exactly on the
     exceptional loci (SingularGauge); an envelope past the float range
     raises Overflow.
@@ -511,9 +531,7 @@ def _chain_eigenpairs(up, lo, sq):
     rest = np.flatnonzero(~(real | imag))
     if len(rest) and L % 2 == 0:
         n, p = L // 2, sq[rest]
-        roots = rest[np.all(p[:, 0::2] == p[:, :1], axis=-1)
-                     & np.all(p[:, 1::2] == p[:, 1:2], axis=-1)
-                     & (p[:, 0] * p[:, 1] < 0.0)]
+        roots = rest[_two_periodic(p) & (p[:, 0] * p[:, 1] < 0.0)]
         a, b = sq[roots, 0], sq[roots, 1]
         lam2, ok, z = _ssh_squares(a, b, n)
         # 0.0 + keeps the parts +0.0
@@ -531,9 +549,9 @@ def _chain_eigenpairs(up, lo, sq):
         Yt[roots, :n, 1::2] = even
         Yt[roots, n:, 1::2] = -even
         rest = np.setdiff1d(rest, roots[ok & finite])
-    for i in rest:
-        lam[i], Y = _split_eig(s[i], sq[i])
-        Yt[i] = Y.T
+    if len(rest):
+        lam[rest], Y = _split_eig(s[rest], sq[rest])
+        Yt[rest] = np.swapaxes(Y, -1, -2)
     return lam.reshape(shape + (L,)), Yt.reshape(shape + (L, L)), d
 
 
@@ -559,26 +577,6 @@ def _chain_intensities(Yt, d):
     return P, total
 
 
-def _balanced_tridiag_eig(up, lo, sq):
-    """Eigenpairs (lam, Y, X) of one zero-diagonal tridiagonal chain, or of
-    a (..., L-1) stack, by _chain_eigenpairs: Y the unit balanced vectors
-    and X the vectors diag(d) Y of the chain itself, as columns.
-
-    Each column of X is diag(d) y_n times a power of two, to a norm in
-    [2^-1/2, 2^1/2): so Re(X)^2 + Im(X)^2 is an exact multiple of
-    _chain_intensities, and the mean dIPR of X (_mean_dipr_chains) equals
-    the one dipr_map takes from the intensities, bit for bit. A norm past
-    the float range raises Overflow if it underflows, and gives a zero
-    column if it overflows, as a division by the norm did.
-    """
-    lam, Yt, d = _chain_eigenpairs(up, lo, sq)
-    _, total = _chain_intensities(Yt, d)
-    scale = np.where(np.isinf(total), 0.0,
-                     np.ldexp(1.0, -(np.frexp(total)[1] // 2)))
-    Xt = np.multiply(Yt, d[..., None, :]) * scale[..., None]
-    return lam, np.swapaxes(Yt, -1, -2), np.swapaxes(Xt, -1, -2)
-
-
 def _tridiag_residual(up, lo, lam, X):
     """max_n ||T x_n - lam_n x_n||_2 over the columns of X, T the
     zero-diagonal tridiagonal with superdiagonal up and subdiagonal lo."""
@@ -588,40 +586,37 @@ def _tridiag_residual(up, lo, lam, X):
     return float(np.linalg.norm(R, axis=0).max())
 
 
-def _obc_chain_eigs(params):
-    """Per OBC chain (lam, Y, X) of _balanced_tridiag_eig: the eigenvalues,
-    the unit balanced vectors Y and the chain vectors X, from one call on
-    the pair of chains; the one-node case of dipr_map's stacked solve.
-    Balanced OBC only."""
-    bonds = _chain_bonds(params)
-    if params.boundary != OBC:
-        raise ValueError("chain eigendecomposition is open-boundary only")
-    up, lo, sq = (np.array(x)[:, :-1] for x in zip(*bonds))
-    return tuple(zip(*_balanced_tridiag_eig(up, lo, sq)))
-
-
 def obc_eig_via_chains(params):
     """Eigenpairs of the balanced OBC ladder through the decoupled chains.
 
     Same decoupling as obc_spectrum_via_chains but keeping eigenvectors:
-    each chain is balanced bond by bond, solved (_obc_chain_eigs: the
-    closed-form SSH vectors at certified roots, an svd or a half-size eig
-    otherwise), unbalanced, and mapped back to the site basis. Use this
-    instead of eig(build_realspace(...)) whenever ladder eigenvectors are
-    needed at system sizes where the skin envelope ruins the dense solve.
-    residual_max is the larger residual ||T x - lam x|| of the chain
-    vectors X (norms within a factor sqrt 2 of 1) on their chains, which
-    the unit ladder vectors W^+ P (X1 (+) X2) share up to that factor and
+    both chains are balanced bond by bond and solved in one
+    _chain_eigenpairs call (the closed-form SSH vectors at certified
+    roots, an svd or a half-size eig otherwise), unbalanced, and mapped
+    back to the site basis. Each chain vector, a column of X, is diag(d)
+    y_n times a power of two, to a norm in [2^-1/2, 2^1/2); a norm past the
+    float range raises Overflow if it underflows, and gives a zero column
+    if it overflows. Use this instead of eig(build_realspace(...))
+    whenever ladder eigenvectors are needed at system sizes where the skin
+    envelope ruins the dense solve. residual_max is the larger residual
+    ||T x - lam x|| of the chain vectors X on their chains, which the unit
+    ladder vectors W^+ P (X1 (+) X2) share up to that factor sqrt 2 and
     rounding. dipr_map needs no vectors X: it takes the same chain solve
     on a block of nodes and averages intensities. The eigenvector
     condition is not computed (evec_condition is inf). Balanced OBC only;
     raises SingularGauge on exceptional parameters.
     """
-    chains = _obc_chain_eigs(params)
-    residual = max(_tridiag_residual(up[:-1], lo[:-1], lam, X)
-                   for (up, lo, _), (lam, _, X)
-                   in zip(_chain_bonds(params), chains))
-    (lam1, _, X1), (lam2, _, X2) = chains
+    bonds = _chain_bonds(params)
+    if params.boundary != OBC:
+        raise ValueError("chain eigendecomposition is open-boundary only")
+    up, lo, sq = (np.array(x)[:, :-1] for x in zip(*bonds))
+    lam, Yt, d = _chain_eigenpairs(up, lo, sq)
+    _, total = _chain_intensities(Yt, d)
+    scale = np.where(np.isinf(total), 0.0,
+                     np.ldexp(1.0, -(np.frexp(total)[1] // 2)))
+    X1, X2 = np.swapaxes(np.multiply(Yt, d[..., None, :])
+                         * scale[..., None], -1, -2)
+    residual = max(map(_tridiag_residual, up, lo, lam, (X1, X2)))
     L = params.L
     perm = nhssh_permutation(params)
     M = np.zeros((2 * L, 2 * L), dtype=complex)
@@ -629,7 +624,7 @@ def obc_eig_via_chains(params):
     M[perm[L:], L:] = X2
     V = w_basis(L).conj().T @ M
     V = V / np.linalg.norm(V, axis=0)
-    return SpectrumResult(eigenvalues=np.concatenate([lam1, lam2]),
+    return SpectrumResult(eigenvalues=lam.ravel(),
                           right_eigenvectors=V, residual_max=residual,
                           evec_condition=math.inf)
 

@@ -177,10 +177,10 @@ def _dipr_chains(up, lo, sq):
     closed-form loci from the bonds (..., 2, L-1) of their two chains, in
     one _chain_eigenpairs call: the mean from the chain intensities
     (_dipr_means) and defective from the condition numbers of the
-    balanced vectors (_defective_flags), with no vectors X formed. One
-    node gives, bit for bit, _mean_dipr_chains on the vectors X of
-    _obc_chain_eigs and the defective flag of resolve_structure on its
-    chains. A failure anywhere in the stack raises."""
+    balanced vectors (_defective_flags), with no vectors X formed. A
+    stack returns each node bit for bit as a call on that node's (2, L-1)
+    bonds; at a DFB_PBC node the flag is resolve_structure's. A failure
+    anywhere in the stack raises."""
     with np.errstate(all="ignore"):
         _, Yt, d = _chain_eigenpairs(up, lo, sq)
         means = _dipr_means(*_chain_intensities(Yt, d))

@@ -325,6 +325,14 @@ class TestClassifyCommand:
             (lam, [15, 16]), (-lam, [15, 16]), (0j, [2])]
         assert report["defective"] is True
 
+    def test_squares_past_the_float_range(self, tmp_path, capsys):
+        # t0^2 is past the float range: the gauge step raised
+        # OverflowError, and the command exited 1 with a traceback
+        gauge = classify_report(tmp_path, capsys,
+                                ["--t0", "1e160", "--gbar", "0.3", "--g0",
+                                 "0.1", "-L", "4"])["gauge"]
+        assert (gauge["bbc_line"], gauge["bbc_hyperbola"]) == (False, False)
+
 
 # one point per degeneracy label, (label, classify flags)
 LABEL_POINTS = [

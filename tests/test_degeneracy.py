@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nhcreutz
-import nhcreutz.spectral as spectral
+import nhcreutz.degeneracy as degeneracy
 import nhcreutz.sweep as sweep
 from nhcreutz import (
     OBC,
@@ -537,8 +537,8 @@ class TestResolveStructure:
                    boundary=boundary)
         report = classify_point(p)
         assert report.label == DFB_PBC
-        solves, bonds = [], spectral._chain_bonds
-        monkeypatch.setattr(spectral, "_chain_bonds",
+        solves, bonds = [], degeneracy._chain_bonds
+        monkeypatch.setattr(degeneracy, "_chain_bonds",
                             lambda q: solves.append(q) or bonds(q))
         resolved = resolve_structure(p, report)
         assert len(solves) == 1 and solves[0].boundary == OBC

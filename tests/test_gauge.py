@@ -130,6 +130,21 @@ class TestGaugeReport:
         assert rep.near_exceptional
         assert rep.xi_inv == np.inf
 
+    @pytest.mark.parametrize("t0, gbar, g0, line, hyperbola", [
+        (1e160, 0.3, 0.1, False, False),
+        (0.3, 0.3, 1e155, False, False),
+        # t0 g0 = tbar gbar = 5e199
+        (1e200, 5e199, 0.5, True, False),
+        # t0^2 + g0^2 = tbar^2 + gbar^2 = 1e600 to 1e-9
+        (1e300, 1e300, 0.1, False, True),
+    ])
+    def test_flags_where_squares_overflow(self, t0, gbar, g0, line,
+                                          hyperbola):
+        # a square of these parameters is past the float range, where
+        # gauge_report raised OverflowError
+        rep = gauge_report(params(t0=t0, gbar=gbar, g0=g0, L=4))
+        assert (rep.bbc_line, rep.bbc_hyperbola) == (line, hyperbola)
+
     def test_to_dict_keys(self):
         d = gauge_report(params()).to_dict()
         assert set(d) == {"growth_factor_re", "growth_factor_im", "xi_inv",

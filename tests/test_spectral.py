@@ -37,10 +37,10 @@ from nhcreutz import (
     spectral_density_M,
 )
 from nhcreutz import spectral
-from nhcreutz.degeneracy import condition_defective
-from nhcreutz.localization import _mean_dipr_chains
+from nhcreutz.degeneracy import _defective_flags
+from nhcreutz.localization import _dipr_means
 from nhcreutz.model import _chain_bonds, _envelope
-from nhcreutz.spectral import (_balanced_tridiag_eig, _chain_eigenpairs,
+from nhcreutz.spectral import (_chain_eigenpairs, _chain_intensities,
                                _golub_kahan, _split_eig, _split_halves,
                                _ssh_squares, _tridiag_spectrum_from_squares)
 
@@ -325,7 +325,7 @@ class TestChainSplit:
                 # the mixed-sign row, then an all-negative one (an
                 # Imaginary-class chain), which the balanced eigensolver
                 # takes too with couplings i c
-                negative = _balanced_tridiag_eig(1j * c, 1j * c, -c * c)[0]
+                negative = _chain_eigenpairs(1j * c, 1j * c, -c * c)[0]
                 for row in (sq, -c * c):
                     E = _tridiag_spectrum_from_squares(row)
                     dense = dense_chain_spectrum(row)
@@ -578,6 +578,12 @@ def skin_chain(a, b, skew, L):
     return up, lo, sq
 
 
+def chain_mean_dipr(Yt, d):
+    """The mean dIPR of one chain's modes, from its unit balanced vectors
+    (the rows of Yt) and envelope d, as dipr_map averages them."""
+    return float(_dipr_means(*_chain_intensities(Yt[None], d[None])))
+
+
 def old_chain_route(up, lo, sq):
     """Eigenvalues, unit balanced vectors and envelope of a mixed-sign
     chain from _split_eig, as every mixed-sign chain was solved before the
@@ -628,11 +634,10 @@ class TestSSHVectors:
                 assert np.linalg.norm(T @ Y - Y * lam, axis=0).max() \
                     <= 1e-12 * emax
                 assert np.array_equal(lam, _tridiag_spectrum_from_squares(sq))
-                assert abs(_mean_dipr_chains([d[:, None] * Y])
-                           - _mean_dipr_chains([d[:, None] * Y_old])) \
-                    <= 1e-13
-                assert condition_defective([(lam, Y)]) \
-                    is condition_defective([(lam_old, Y_old)])
+                assert abs(chain_mean_dipr(Yt, d)
+                           - chain_mean_dipr(Y_old.T, d_old)) <= 1e-13
+                assert bool(_defective_flags(Yt)) \
+                    is bool(_defective_flags(Y_old.T))
         assert tried >= 150 and edge >= 50
 
     @pytest.mark.parametrize("L", [200, 400])
@@ -649,8 +654,8 @@ class TestSSHVectors:
         share = (np.abs(Yt[edge, 0::2]) ** 2).sum(axis=-1)
         assert np.abs(share - 0.5).max() <= 1e-12
         _, Y_old, _ = old_chain_route(up, lo, sq)
-        assert abs(_mean_dipr_chains([d[:, None] * Yt.T])
-                   - _mean_dipr_chains([d[:, None] * Y_old])) <= 1e-13
+        assert abs(chain_mean_dipr(Yt, d)
+                   - chain_mean_dipr(Y_old.T, d)) <= 1e-13
 
     def test_refused_rows_equal_split_eig_bytes(self):
         # rows the certificate refuses (|r| just past (n+1)/n) take
@@ -702,9 +707,11 @@ class TestChainEig:
     def test_split_eigenpairs_on_random_mixed_sign_chains(self, middle):
         # palindromic products, mixed signs, middle product of either sign
         # (the negative one is split on the rotated chain); the balanced
-        # couplings carry random palindromic signs
+        # couplings carry random palindromic signs. A stack of the chains
+        # of one L returns each bit for bit as its own call
         rng = np.random.default_rng(23 if middle > 0 else 29)
         for L in range(4, 51, 2):
+            chains = []
             for _ in range(3):
                 m = L // 2
                 half = rng.uniform(0.05, 3.0, m) \
@@ -717,6 +724,7 @@ class TestChainEig:
                 signs = rng.choice([-1.0, 1.0], m)
                 s = root * np.concatenate([signs, signs[-2::-1]])
                 lam, Y = _split_eig(s, sq)
+                chains.append((s, sq, lam, Y))
                 S = np.diag(s, 1) + np.diag(s, -1)
                 emax = np.abs(lam).max()
                 resid = np.linalg.norm(S @ Y - Y * lam, axis=0).max()
@@ -728,6 +736,10 @@ class TestChainEig:
                 assert np.abs(norms - 1.0).max() <= 1e-14
                 E = _tridiag_spectrum_from_squares(sq)
                 assert multiset_dist(lam, E) <= 1e-14 * emax
+            s, sq, lam, Y = (np.array(x) for x in zip(*chains))
+            stacked = _split_eig(s, sq)
+            assert stacked[0].tobytes() == lam.tobytes()
+            assert stacked[1].tobytes() == Y.tobytes()
 
     def test_unit_columns(self):
         res = obc_eig_via_chains(params(L=20))

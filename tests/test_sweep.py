@@ -6,11 +6,10 @@ import pytest
 
 import nhcreutz.sweep as sweep
 from nhcreutz.degeneracy import (DFB_PBC, GENERIC, _defective_from,
-                                 condition_defective, obc_tol_abs,
-                                 resolve_structure)
-from nhcreutz.localization import _mean_dipr_chains
+                                 obc_tol_abs, resolve_structure)
 from nhcreutz.model import _chain_bonds
-from nhcreutz.spectral import _obc_chain_eigs, _tridiag_residual
+from nhcreutz.spectral import (_chain_eigenpairs, _chain_intensities,
+                               _tridiag_residual)
 from nhcreutz import (
     OBC,
     PBC,
@@ -326,10 +325,30 @@ CHAIN_NEAR_EXCEPTIONAL = [
 ]
 
 
-def chain_vectors(p):
-    """The unit chain eigenvectors X of a node, as dipr_map takes them."""
+def node_bonds(p):
+    """The (2, L-1) bonds (up, lo, sq) of a node's two open chains."""
+    return tuple(np.array(x)[:, :-1] for x in zip(*_chain_bonds(p)))
+
+
+def one_node(p):
+    """(mean dIPR, defective) of a node from sweep._dipr_chains on its
+    bonds alone: the one-node case of dipr_map's stacked solve."""
+    mean, flag = sweep._dipr_chains(*node_bonds(p))
+    return float(mean), bool(flag)
+
+
+def chain_pairs(p):
+    """Per chain of a node (lam, Y, X): the eigenvalues, the unit balanced
+    vectors Y and the chain vectors X, as columns, X scaled as
+    obc_eig_via_chains scales it (diag(d) y_n times the power of two that
+    brings its norm into [2^-1/2, 2^1/2))."""
     with np.errstate(all="ignore"):
-        return [X for _, _, X in _obc_chain_eigs(p)]
+        lam, Yt, d = _chain_eigenpairs(*node_bonds(p))
+        _, total = _chain_intensities(Yt, d)
+        scale = np.where(np.isinf(total), 0.0,
+                         np.ldexp(1.0, -(np.frexp(total)[1] // 2)))
+        Xt = np.multiply(Yt, d[..., None, :]) * scale[..., None]
+    return tuple(zip(lam, np.swapaxes(Yt, -1, -2), np.swapaxes(Xt, -1, -2)))
 
 
 # (t0, gbar, g0, 60-digit <dIPR>, L, tolerance)
@@ -394,7 +413,7 @@ class TestDiprMap:
                                       g0=0.5, L=10)
             dense = mean_dipr(eig(build_realspace(p), want_vectors=True), 10)
             if r.degeneracy_label == GENERIC:
-                assert r.mean_dipr == _mean_dipr_chains(chain_vectors(p))
+                assert r.mean_dipr == one_node(p)[0]
                 assert r.mean_dipr == pytest.approx(
                     mean_dipr(obc_eig_via_chains(p), 10), abs=1e-14)
             else:
@@ -449,22 +468,21 @@ class TestDiprMap:
         for r in rows:
             p = ModelParams.from_bars(tbar=0.0, t0=r.t0, gbar=r.gbar,
                                       g0=-0.7, L=50)
-            chains = _obc_chain_eigs(p)
+            mean, _ = one_node(p)
             assert r.status == DFB_PBC and type(r.status) is str
-            assert r.mean_dipr == _mean_dipr_chains([X for _, _, X in chains])
+            assert r.mean_dipr == mean
             assert r.defective is resolve_structure(
-                p, classify_point(p), chains).defective
+                p, classify_point(p)).defective
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
     def test_near_exceptional_node_on_chain_route(self, t0, gbar, g0, L):
         # where the chain solve passes the gate, the row is its average
         p = ModelParams.from_bars(tbar=1.0, t0=t0, gbar=gbar, g0=g0, L=L)
-        blocks = chain_vectors(p)
         s = GridSpec(t0_range=(t0, t0 + 0.1, 2),
                      gbar_range=(gbar, gbar + 0.1, 2), g0=g0, L=L)
         row = dipr_map(s)[0]
         assert (row.degeneracy_label, row.status) == (GENERIC, "ok")
-        assert row.mean_dipr == _mean_dipr_chains(blocks)
+        assert row.mean_dipr == one_node(p)[0]
 
     def test_efb_diagonal_flagged(self):
         s = spec(lo=-2.0, hi=2.0, n=5, g0=1.0, L=10)
@@ -515,7 +533,7 @@ class TestDiprMap:
                                   g0=-0.859, L=50)
         d = derive(p)
         assert d.u2 * d.v2 < 0.0
-        (lam, Y, X), _ = _obc_chain_eigs(p)
+        (lam, Y, X), _ = chain_pairs(p)
         gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(len(lam), np.inf))
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         eps = abs(lam[i])
@@ -578,10 +596,11 @@ class TestDiprMap:
         # that reach np.linalg.eig (_split_eig) are those the root
         # certificate refuses, 5% of the mixed-sign chains at most
         eig_ = np.linalg.eig
-        calls = []
+        chains = []
 
         def counting(a):
-            calls.append(len(a))
+            # a stack of halves (chains, m, m), or one half (m, m)
+            chains.append(len(a) if np.ndim(a) == 3 else 1)
             return eig_(a)
 
         monkeypatch.setattr(np.linalg, "eig", counting)
@@ -595,7 +614,7 @@ class TestDiprMap:
             mixed += 2 * (r.degeneracy_label == GENERIC and d.u2 * d.v2 < 0)
         assert all(r.status in ("ok", r.degeneracy_label) for r in rows)
         assert mixed >= 150
-        assert len(calls) <= 0.05 * mixed
+        assert sum(chains) <= 0.05 * mixed
 
     @pytest.mark.parametrize("gbar, defective", [
         (0.9144317303652489, True), (0.9144317303652489 + 1e-9, False)])
@@ -634,7 +653,7 @@ def random_generic_nodes(L, n, seed):
             continue
         try:
             with np.errstate(all="ignore"):
-                _obc_chain_eigs(p)
+                obc_eig_via_chains(p)
         except Overflow:
             continue
         d = derive(p)
@@ -643,7 +662,7 @@ def random_generic_nodes(L, n, seed):
 
 
 class TestChainRoute:
-    """The dIPR map's chain route in its one-node case (_obc_chain_eigs,
+    """The dIPR map's chain route in its one-node case (sweep._dipr_chains:
     the direct formula and the condition test) against the ladder vectors
     of obc_eig_via_chains and the clustered-rank test."""
 
@@ -653,8 +672,8 @@ class TestChainRoute:
         same_sign = sum(same for _, same in nodes)
         assert 5 <= same_sign <= 35  # both sign cases are covered
         for p, _ in nodes:
+            chains = chain_pairs(p)
             with np.errstate(all="ignore"):
-                chains = _obc_chain_eigs(p)
                 ladder = obc_eig_via_chains(p)
             scale = np.abs(ladder.eigenvalues).max()
             residual = max(_tridiag_residual(up[:-1], lo[:-1], lam, X)
@@ -662,11 +681,11 @@ class TestChainRoute:
                            in zip(_chain_bonds(p), chains))
             assert ladder.residual_max == residual
             assert abs(residual - ladder_residual(ladder, p)) <= 1e-12 * scale
-            direct = _mean_dipr_chains([X for _, _, X in chains])
+            direct, flag = one_node(p)
             assert direct == pytest.approx(mean_dipr(ladder, L), abs=1e-14)
             # the c-product condition test against the clustered-rank test
             # on the same balanced vectors Y
-            assert condition_defective(chains) is any(
+            assert flag is any(
                 _defective_from(lam, Y, 1e-6) for lam, Y, _ in chains)
 
     @pytest.mark.parametrize("t0, gbar, g0, L", CHAIN_NEAR_EXCEPTIONAL)
